@@ -1,13 +1,14 @@
 # Pre-PR verification gate. `make verify` must pass before any change is
 # merged: formatting, go vet, build, the full test suite under the race
-# detector, and the repository's own static-analysis suite (reschedvet),
+# detector, the Table I search-equivalence digest (which the race run
+# skips), and the repository's own static-analysis suite (reschedvet),
 # which enforces the scheduler determinism invariants documented in README.md.
 
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke serve-bench online-smoke
+.PHONY: verify fmt-check vet build test race digest reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke serve-bench online-smoke
 
-verify: fmt-check vet build race reschedvet solvecheck
+verify: fmt-check vet build race digest reschedvet solvecheck
 	@echo "verify: all gates passed"
 
 fmt-check:
@@ -28,6 +29,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# digest runs the golden digest of the Table I searches (PA, PA-R, IS-1,
+# IS-5 on the first suite graphs) without the race detector. The race run
+# skips it: its solves are single-goroutine, so -race finds nothing there
+# and makes it twenty times slower.
+digest:
+	$(GO) test -count=1 -run '^TestSuiteGoldenDigest$$' .
+
 reschedvet:
 	$(GO) run ./cmd/reschedvet ./...
 
@@ -46,12 +54,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadGraphJSON -fuzztime $(FUZZTIME) ./internal/taskgraph
 	$(GO) test -run '^$$' -fuzz FuzzCheckSchedule -fuzztime $(FUZZTIME) ./internal/schedule
 
-# bench runs the Table I suite (plus the PA-R worker-scaling benchmarks and
-# the nil-trace overhead guard) and records it as structured JSON, the file
-# successive PRs diff to track scheduler performance over time.
-BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline
+# bench runs the Table I suite (plus the PA-R worker-scaling benchmarks,
+# the nil-trace overhead guard, and the floorplanner and IS-k window
+# layer benchmarks) and records it as structured JSON, the file successive
+# PRs diff to track scheduler performance over time. GOMAXPROCS is pinned
+# to 2 with -cpu; cmd/benchjson reads it back from the -2 name suffixes and
+# states it in the JSON.
+BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkISKWindow
+BENCH_PKGS = . ./internal/isk
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_table1.json
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -cpu 2 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_table1.json
 
 # benchcmp is the regression gate: re-run the bench suite into a scratch
 # file and compare it against the committed baseline. Any benchmark more
@@ -60,7 +72,7 @@ bench:
 # bench` when a regression is intentional and explained in the PR.
 THRESHOLD ?= 15
 benchcmp:
-	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem . | $(GO) run ./cmd/benchjson -o /tmp/BENCH_new.json
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -cpu 2 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o /tmp/BENCH_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold $(THRESHOLD) BENCH_table1.json /tmp/BENCH_new.json
 
 bench-all:

@@ -353,6 +353,36 @@ func BenchmarkFloorplanSolvers(b *testing.B) {
 	}
 }
 
+// BenchmarkFloorplanSolvePA measures the floorplanner alone on the region
+// set PA's final schedule holds, per Table I group: the feasibility query
+// phase 8 runs (default backtracking options), without the scheduling
+// phases around it.
+func BenchmarkFloorplanSolvePA(b *testing.B) {
+	a := arch.ZedBoard()
+	for _, n := range benchGroups {
+		e := instance(b, n, 0)
+		s, _, err := sched.Schedule(e.Graph, a, sched.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		regions := make([]resources.Vector, len(s.Regions))
+		for i, r := range s.Regions {
+			regions[i] = r.Res
+		}
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := floorplan.Solve(a.Fabric, regions, floorplan.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Feasible {
+					b.Fatal("PA's final regions no longer floorplan")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSuiteGeneration measures the §VII-A instance generator.
 func BenchmarkSuiteGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {

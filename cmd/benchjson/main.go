@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkTable1' -benchmem . | benchjson -o BENCH_table1.json
+//	go test -run '^$' -bench 'BenchmarkTable1' -benchmem -cpu 2 . | benchjson -o BENCH_table1.json
 //	benchjson -compare [-threshold 15] old.json new.json
 //
 // -compare prints per-benchmark ns/op and allocs/op deltas between two
@@ -42,10 +42,14 @@ type Benchmark struct {
 
 // Doc is the JSON document layout.
 type Doc struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the value the benchmarks ran with, read from the -N
+	// name suffix go test appends (0 when the results disagree), so a
+	// baseline says which machine shape its numbers belong to.
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -114,7 +118,10 @@ func parse(r io.Reader) (*Doc, error) {
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 			continue
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			// Output covering several packages names the first one.
+			if doc.Pkg == "" {
+				doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			}
 			continue
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
@@ -127,6 +134,14 @@ func parse(r io.Reader) (*Doc, error) {
 			continue
 		}
 		doc.Benchmarks = append(doc.Benchmarks, b)
+	}
+	for i, b := range doc.Benchmarks {
+		if _, procs := splitProcs(b.Name); i == 0 {
+			doc.GOMAXPROCS = procs
+		} else if procs != doc.GOMAXPROCS {
+			doc.GOMAXPROCS = 0
+			break
+		}
 	}
 	return doc, sc.Err()
 }
@@ -173,20 +188,32 @@ func parseLine(line string) (Benchmark, bool) {
 // (BenchmarkFoo/sub-8 → BenchmarkFoo/sub), so documents produced on
 // machines with different core counts still pair up.
 func normalizeName(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// splitProcs splits a benchmark name into its base and the GOMAXPROCS of
+// its -N suffix. go test omits the suffix at GOMAXPROCS=1, so a name
+// without one reports 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i <= 0 {
-		return name
+		return name, 1
 	}
 	suffix := name[i+1:]
 	if suffix == "" {
-		return name
+		return name, 1
 	}
 	for _, r := range suffix {
 		if r < '0' || r > '9' {
-			return name
+			return name, 1
 		}
 	}
-	return name[:i]
+	procs, err := strconv.Atoi(suffix)
+	if err != nil {
+		return name, 1
+	}
+	return name[:i], procs
 }
 
 // loadDoc reads a benchmark JSON document written by this command.
@@ -224,6 +251,10 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (failed
 	newDoc, err := loadDoc(newPath)
 	if err != nil {
 		return false, err
+	}
+	if oldDoc.GOMAXPROCS != newDoc.GOMAXPROCS && oldDoc.GOMAXPROCS != 0 && newDoc.GOMAXPROCS != 0 {
+		fmt.Fprintf(w, "note: baseline ran at GOMAXPROCS=%d, new run at GOMAXPROCS=%d\n",
+			oldDoc.GOMAXPROCS, newDoc.GOMAXPROCS)
 	}
 	oldBy := map[string]Benchmark{}
 	for _, b := range oldDoc.Benchmarks {

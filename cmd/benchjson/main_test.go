@@ -30,6 +30,9 @@ func TestParse(t *testing.T) {
 	if doc.CPU != "AMD EPYC 7B13" {
 		t.Errorf("cpu = %q", doc.CPU)
 	}
+	if doc.GOMAXPROCS != 8 {
+		t.Errorf("gomaxprocs = %d, want 8 from the -8 name suffixes", doc.GOMAXPROCS)
+	}
 	if len(doc.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(doc.Benchmarks))
 	}
@@ -43,6 +46,48 @@ func TestParse(t *testing.T) {
 	// Custom metric (b.ReportMetric) lands in Extra keyed by unit.
 	if got := doc.Benchmarks[2].Extra["makespan"]; got != 14279 {
 		t.Errorf("makespan extra = %v, want 14279", got)
+	}
+}
+
+func TestParseMultiPackage(t *testing.T) {
+	// `go test -bench` over several packages repeats the header per
+	// package; the document names the first and keeps every result.
+	second := `goos: linux
+goarch: amd64
+pkg: resched/internal/isk
+cpu: AMD EPYC 7B13
+BenchmarkISKWindow/tasks=20-8 	      80	  14819192 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+	doc, err := parse(strings.NewReader(sample + second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "resched" {
+		t.Errorf("pkg = %q, want the first package", doc.Pkg)
+	}
+	if len(doc.Benchmarks) != 4 || doc.Benchmarks[3].Name != "BenchmarkISKWindow/tasks=20-8" {
+		t.Errorf("parsed %+v", doc.Benchmarks)
+	}
+}
+
+func TestParseGOMAXPROCS(t *testing.T) {
+	cases := []struct {
+		name, in string
+		want     int
+	}{
+		{"no suffix is GOMAXPROCS 1", "BenchmarkA 10 5 ns/op\nBenchmarkB/tasks=10 10 5 ns/op\n", 1},
+		{"agreeing suffixes", "BenchmarkA-2 10 5 ns/op\nBenchmarkB/tasks=10-2 10 5 ns/op\n", 2},
+		{"mixed -cpu list is unstated", "BenchmarkA-2 10 5 ns/op\nBenchmarkA-4 10 5 ns/op\n", 0},
+	}
+	for _, c := range cases {
+		doc, err := parse(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.GOMAXPROCS != c.want {
+			t.Errorf("%s: gomaxprocs = %d, want %d", c.name, doc.GOMAXPROCS, c.want)
+		}
 	}
 }
 

@@ -58,9 +58,10 @@ func Compute(n int, succ, pred [][]int, dur []int64, release []int64, deadline i
 	return ComputeEdges(n, succ, pred, dur, release, deadline, nil)
 }
 
-// ComputeEdges is Compute with per-edge communication delays: comm(u, v)
-// ticks must elapse between u's end and v's start (nil means all-zero).
-func ComputeEdges(n int, succ, pred [][]int, dur []int64, release []int64, deadline int64, comm func(u, v int) int64) (*Result, error) {
+// ComputeEdges is Compute with per-edge communication delays: comm[u][i]
+// ticks must elapse between u's end and the start of succ[u][i] (nil means
+// all-zero). comm is aligned with succ, as taskgraph.Graph.SuccComm is.
+func ComputeEdges(n int, succ, pred [][]int, dur []int64, release []int64, deadline int64, comm [][]int64) (*Result, error) {
 	var ws Workspace
 	est, lft, makespan, err := ws.ComputeEdges(n, succ, pred, dur, release, deadline, comm)
 	if err != nil {
@@ -90,7 +91,7 @@ type Workspace struct {
 // ComputeEdges runs the same forward/backward passes as the package-level
 // ComputeEdges but reuses the workspace buffers. The returned est and lft
 // slices alias the workspace and are valid until the next call.
-func (ws *Workspace) ComputeEdges(n int, succ, pred [][]int, dur []int64, release []int64, deadline int64, comm func(u, v int) int64) (est, lft []int64, makespan int64, err error) {
+func (ws *Workspace) ComputeEdges(n int, succ, pred [][]int, dur []int64, release []int64, deadline int64, comm [][]int64) (est, lft []int64, makespan int64, err error) {
 	if len(dur) != n {
 		return nil, nil, 0, fmt.Errorf("cpm: %d durations for %d tasks", len(dur), n)
 	}
@@ -98,6 +99,9 @@ func (ws *Workspace) ComputeEdges(n int, succ, pred [][]int, dur []int64, releas
 		if d < 0 {
 			return nil, nil, 0, fmt.Errorf("cpm: task %d has negative duration %d", t, d)
 		}
+	}
+	if comm != nil && len(comm) != n {
+		return nil, nil, 0, fmt.Errorf("cpm: %d communication lists for %d tasks", len(comm), n)
 	}
 	order, err := ws.topo.OrderAdj(n, succ, pred)
 	if err != nil {
@@ -121,10 +125,10 @@ func (ws *Workspace) ComputeEdges(n int, succ, pred [][]int, dur []int64, releas
 		}
 	}
 	for _, v := range order {
-		for _, w := range succ[v] {
+		for i, w := range succ[v] {
 			f := est[v] + dur[v]
 			if comm != nil {
-				f += comm(v, w)
+				f += comm[v][i]
 			}
 			if f > est[w] {
 				est[w] = f
@@ -145,10 +149,10 @@ func (ws *Workspace) ComputeEdges(n int, succ, pred [][]int, dur []int64, releas
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		for _, w := range succ[v] {
+		for j, w := range succ[v] {
 			lst := lft[w] - dur[w]
 			if comm != nil {
-				lst -= comm(v, w)
+				lst -= comm[v][j]
 			}
 			if lst < lft[v] {
 				lft[v] = lst

@@ -199,15 +199,7 @@ func TestComputeGraph(t *testing.T) {
 func TestComputeEdgesComm(t *testing.T) {
 	// Chain with communication: 0 →(10)→ 1 →(20)→ 2, durations 5 each.
 	succ, pred := chain(3)
-	comm := func(u, v int) int64 {
-		switch {
-		case u == 0 && v == 1:
-			return 10
-		case u == 1 && v == 2:
-			return 20
-		}
-		return 0
-	}
+	comm := [][]int64{{10}, {20}, nil}
 	r, err := ComputeEdges(3, succ, pred, []int64{5, 5, 5}, nil, -1, comm)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +233,7 @@ func TestComputeEdgesNilComm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Makespan != b.Makespan || a.EST[1] != b.EST[1] {
-		t.Error("nil comm function changed the result")
+		t.Error("nil comm changed the result")
 	}
 }
 
@@ -250,12 +242,7 @@ func TestComputeEdgesCommSlack(t *testing.T) {
 	// slack.
 	succ := [][]int{{1, 2}, {3}, {3}, nil}
 	pred := [][]int{nil, {0}, {0}, {1, 2}}
-	comm := func(u, v int) int64 {
-		if u == 1 && v == 3 {
-			return 100
-		}
-		return 0
-	}
+	comm := [][]int64{{0, 0}, {100}, {0}, nil}
 	r, err := ComputeEdges(4, succ, pred, []int64{1, 10, 10, 1}, nil, -1, comm)
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,10 @@
 package floorplan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"resched/internal/arch"
@@ -57,36 +58,65 @@ func (p Placement) String() string {
 // width placements are sufficient for feasibility: any solution using a
 // wider rectangle remains valid after shrinking it to minimal width.
 func Enumerate(f *arch.Fabric, req resources.Vector) []Placement {
-	var out []Placement
+	// Count first: the scan is cheap, growing the slice by appends is not.
+	n := 0
+	minimalSpans(f, req, func(_, _, h int, _ resources.Vector) { n += f.Rows - h + 1 })
+	if n == 0 {
+		return nil
+	}
+	out := make([]Placement, 0, n)
+	minimalSpans(f, req, func(x0, x1, h int, _ resources.Vector) {
+		for y0 := 0; y0+h <= f.Rows; y0++ {
+			out = append(out, Placement{X0: x0, X1: x1, Y0: y0, Y1: y0 + h})
+		}
+	})
+	return out
+}
+
+// minimalSpans is the two-pointer scan behind Enumerate: for every height h
+// (ascending) and starting column x0 (ascending) it reports the minimal x1
+// such that columns [x0, x1) over h rows cover req, together with the
+// number of columns of each kind in the span. Every row offset of a
+// reported span is a placement; all of them have the same area and
+// content. The scan counts columns against the per-kind column need of
+// height h, so a step is a few integer comparisons.
+func minimalSpans(f *arch.Fabric, req resources.Vector, visit func(x0, x1, h int, cols resources.Vector)) {
 	if req.Zero() {
-		return out
+		return
 	}
 	w := f.Width()
 	for h := 1; h <= f.Rows; h++ {
-		// For height h, the column prefix resources scale by h.
-		// Two-pointer scan: for each x0 find the minimal x1.
-		var acc resources.Vector
+		// need[k] is the fewest kind-k columns whose h cells cover req[k].
+		var need resources.Vector
+		for k, r := range req {
+			if r <= 0 {
+				continue
+			}
+			per := f.UnitsPerCell[k] * h
+			if per <= 0 {
+				return // the fabric holds none of kind k: nothing fits
+			}
+			need[k] = (r + per - 1) / per
+		}
+		var cols resources.Vector
 		x1 := 0
 		for x0 := 0; x0 < w; x0++ {
 			if x1 < x0 {
 				x1 = x0
-				acc = resources.Vector{}
+				cols = resources.Vector{}
 			}
-			for x1 < w && !req.Fits(acc.Scale(h)) {
-				acc = acc.Add(f.CellResources(x1))
+			for x1 < w && !need.Fits(cols) {
+				cols[f.Columns[x1]]++
 				x1++
 			}
-			if !req.Fits(acc.Scale(h)) {
+			if !need.Fits(cols) {
 				break // no wider rectangle from x0 helps; larger x0 neither
 			}
-			for y0 := 0; y0+h <= f.Rows; y0++ {
-				out = append(out, Placement{X0: x0, X1: x1, Y0: y0, Y1: y0 + h})
-			}
+			visit(x0, x1, h, cols)
 			// Slide: remove column x0 before advancing.
-			acc = acc.Sub(f.CellResources(x0))
+			cols[f.Columns[x0]]--
 		}
 	}
-	return out
 }
 
 // Method selects the placement-search engine.
@@ -234,15 +264,16 @@ func solve(f *arch.Fabric, regions []resources.Vector, opt Options) (*Result, er
 		// Prefer small-area placements, then pack toward the bottom-left
 		// corner: compact prefixes leave the largest contiguous free space
 		// for the remaining regions.
-		sort.Slice(cands[i], func(a, b int) bool {
-			pa, pb := cands[i][a], cands[i][b]
-			if pa.Area() != pb.Area() {
-				return pa.Area() < pb.Area()
+		// slices.SortFunc runs the same pdqsort as sort.Slice, so equal
+		// keys keep the order they always had.
+		slices.SortFunc(cands[i], func(pa, pb Placement) int {
+			if c := cmp.Compare(pa.Area(), pb.Area()); c != 0 {
+				return c
 			}
-			if pa.X0 != pb.X0 {
-				return pa.X0 < pb.X0
+			if c := cmp.Compare(pa.X0, pb.X0); c != 0 {
+				return c
 			}
-			return pa.Y0 < pb.Y0
+			return cmp.Compare(pa.Y0, pb.Y0)
 		})
 		if limit > 0 && len(cands[i]) > limit {
 			cands[i] = cands[i][:limit]
@@ -299,13 +330,17 @@ func Verify(f *arch.Fabric, regions []resources.Vector, placements []Placement) 
 // tracks what the floorplanner can really place; it falls back to the raw
 // requirement when the region does not fit the fabric at all.
 func PlacementFootprint(f *arch.Fabric, req resources.Vector) resources.Vector {
+	// The first minimal-area span in Enumerate order wins; every row offset
+	// of a span has its area and content, so spans are enough.
 	best := req
 	bestArea := -1
-	for _, p := range Enumerate(f, req) {
-		if bestArea < 0 || p.Area() < bestArea {
-			bestArea = p.Area()
-			best = f.RectResources(p.X0, p.X1, p.Y0, p.Y1)
+	minimalSpans(f, req, func(x0, x1, h int, cols resources.Vector) {
+		if a := (x1 - x0) * h; bestArea < 0 || a < bestArea {
+			bestArea = a
+			for k, c := range cols {
+				best[k] = c * f.UnitsPerCell[k] * h
+			}
 		}
-	}
+	})
 	return best
 }

@@ -45,22 +45,38 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 		return ia < ib
 	})
 
-	// Per-placement multi-word column masks (fabrics may exceed 64
-	// columns). One scratch buffer per DFS depth: the mask computed at
-	// depth k stays live across the recursive call (it is needed again to
-	// un-occupy on backtrack), while deeper levels use their own rows —
-	// so a single preallocated matrix replaces the per-node allocation
-	// that used to dominate the scheduler's heap profile.
-	maskBuf := make([]uint64, words*len(regions))
-	mask := func(k int, p Placement) []uint64 {
-		m := maskBuf[k*words : (k+1)*words]
-		for w := range m {
-			m[w] = 0
+	// Per-candidate multi-word column masks (fabrics may exceed 64
+	// columns) and covered cells per kind, derived once per candidate from
+	// two per-fabric prefix tables instead of column loops at every node:
+	// colMask[x] holds the columns [0,x), kindCols[x] counts them per kind.
+	width := f.Width()
+	colMask := make([]uint64, (width+1)*words)
+	kindCols := make([]resources.Vector, width+1)
+	for x := 0; x < width; x++ {
+		copy(colMask[(x+1)*words:(x+2)*words], colMask[x*words:(x+1)*words])
+		colMask[(x+1)*words+x/64] |= 1 << (x % 64)
+		kindCols[x+1] = kindCols[x]
+		kindCols[x+1][f.Columns[x]]++
+	}
+	total := 0
+	for _, cs := range cands {
+		total += len(cs)
+	}
+	maskBuf := make([]uint64, total*words)
+	coverBuf := make([]resources.Vector, total)
+	masks := make([][]uint64, len(regions))
+	covers := make([][]resources.Vector, len(regions))
+	for i, cs := range cands {
+		masks[i], maskBuf = maskBuf[:len(cs)*words], maskBuf[len(cs)*words:]
+		covers[i], coverBuf = coverBuf[:len(cs)], coverBuf[len(cs):]
+		for j, p := range cs {
+			m := masks[i][j*words : (j+1)*words]
+			hi, lo := colMask[p.X1*words:(p.X1+1)*words], colMask[p.X0*words:(p.X0+1)*words]
+			for w := range m {
+				m[w] = hi[w] &^ lo[w]
+			}
+			covers[i][j] = kindCols[p.X1].Sub(kindCols[p.X0]).Scale(p.Y1 - p.Y0)
 		}
-		for x := p.X0; x < p.X1; x++ {
-			m[x/64] |= 1 << (x % 64)
-		}
-		return m
 	}
 
 	// Aggregate free-cell bound: a region needing res_k units of kind k
@@ -82,10 +98,7 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 	for k := len(order) - 1; k >= 0; k-- {
 		suffixNeed[k] = suffixNeed[k+1].Add(cellsNeeded[k])
 	}
-	var freeCells resources.Vector
-	for x := 0; x < f.Width(); x++ {
-		freeCells[f.Columns[x]] += f.Rows
-	}
+	freeCells := kindCols[width].Scale(f.Rows)
 
 	occupied := make([][]uint64, f.Rows)
 	for y := range occupied {
@@ -107,7 +120,7 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 			return false
 		}
 		region := order[k]
-		for _, p := range cands[region] {
+		for j, p := range cands[region] {
 			res.Nodes++
 			// Budget is charged per node, so a cancel or deadline lands
 			// within microseconds of search; an aborted run reports
@@ -116,7 +129,7 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 				aborted = true
 				return false
 			}
-			m := mask(k, p)
+			m := masks[region][j*words : (j+1)*words]
 			clash := false
 			for y := p.Y0; y < p.Y1 && !clash; y++ {
 				for w, bits := range m {
@@ -129,10 +142,7 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 			if clash {
 				continue
 			}
-			var covered resources.Vector
-			for x := p.X0; x < p.X1; x++ {
-				covered[f.Columns[x]] += p.Y1 - p.Y0
-			}
+			covered := covers[region][j]
 			for y := p.Y0; y < p.Y1; y++ {
 				for w, bits := range m {
 					occupied[y][w] |= bits

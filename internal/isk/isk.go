@@ -238,8 +238,9 @@ func tails(g *taskgraph.Graph) []int64 {
 	out := make([]int64, g.N())
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
-		for _, w := range g.Succ(v) {
-			if c := out[w] + g.Tasks[w].MinTime() + g.EdgeComm(v, w); c > out[v] {
+		comm := g.SuccComm(v)
+		for i, w := range g.Succ(v) {
+			if c := out[w] + g.Tasks[w].MinTime() + comm[i]; c > out[v] {
 				out[v] = c
 			}
 		}

@@ -50,7 +50,9 @@ type timeline struct {
 	// pins maps a task to its forced warm-region mapping (see seedWarm).
 	pins map[int]pin
 
-	regions    []*iskRegion
+	// regions are held by value: the window search appends and truncates
+	// them on every new-region decision, reusing the backing array.
+	regions    []iskRegion
 	procFree   []int64
 	usedRes    resources.Vector
 	footprints map[resources.Vector]resources.Vector
@@ -68,6 +70,12 @@ type timeline struct {
 	slots [][]interval
 	// committed reconfiguration records.
 	reconfs []schedule.Reconfiguration
+
+	// swImpls[t] and hwImpls[t] index the software and hardware
+	// implementations of task t, computed once per timeline.
+	swImpls, hwImpls [][]int
+	// ws is the reusable window-search scratch.
+	ws windowSearch
 }
 
 func newTimeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vector, moduleReuse, prefetch bool) *timeline {
@@ -90,8 +98,12 @@ func newTimeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vect
 			st.cellSize[k] = a.Fabric.UnitsPerCell[k]
 		}
 	}
-	for t := range st.impl {
+	st.swImpls = make([][]int, n)
+	st.hwImpls = make([][]int, n)
+	for t, task := range g.Tasks {
 		st.impl[t] = -1
+		st.swImpls[t] = task.SWImpls()
+		st.hwImpls[t] = task.HWImpls()
 	}
 	st.slots = make([][]interval, a.ReconfiguratorCount())
 	return st
@@ -126,11 +138,12 @@ func (st *timeline) ready(t int) int64 {
 	if st.release != nil {
 		r = st.release[t]
 	}
-	for _, p := range st.g.Pred(t) {
+	comm := st.g.PredComm(t)
+	for i, p := range st.g.Pred(t) {
 		if st.impl[p] < 0 {
 			return -1 // predecessor not scheduled yet
 		}
-		if f := st.end[p] + st.g.EdgeComm(p, t); f > r {
+		if f := st.end[p] + comm[i]; f > r {
 			r = f
 		}
 	}

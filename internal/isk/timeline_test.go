@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"resched/internal/arch"
+	"resched/internal/benchgen"
 	"resched/internal/resources"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
@@ -110,7 +111,7 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 	}
 	r0, u0, m0, s0 := snapshot()
 
-	opts := st.options(0)
+	opts := st.options(nil, 0)
 	if len(opts) == 0 {
 		t.Fatal("no options for task 0")
 	}
@@ -122,7 +123,7 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 		if st.impl[0] != o.impl {
 			t.Fatalf("apply did not set impl")
 		}
-		ap.undo()
+		st.undo(ap)
 		if st.impl[0] != -1 {
 			t.Fatalf("undo did not clear impl")
 		}
@@ -156,7 +157,7 @@ func TestOptionsShortlist(t *testing.T) {
 	if len(st.regions) != 3 {
 		t.Fatalf("%d regions seeded", len(st.regions))
 	}
-	opts := st.options(3)
+	opts := st.options(nil, 3)
 	var existing, reuse, newRegion, swOpts int
 	for _, o := range opts {
 		switch o.kind {
@@ -242,5 +243,46 @@ func TestEmitRoundTrip(t *testing.T) {
 	}
 	if sch.Algorithm != "IS-1" || sch.Makespan != 100 {
 		t.Errorf("emit: %s", sch.Summary())
+	}
+}
+
+// TestWindowSearchZeroAllocs pins the allocation contract of the window
+// branch and bound: once a timeline's search buffers have grown, searching
+// a window allocates nothing — undo records are values, option and
+// ready-task lists reuse per-depth rows, regions reuse their backing array.
+func TestWindowSearchZeroAllocs(t *testing.T) {
+	g := genGraph(t, benchgen.Config{Tasks: 20, Seed: 3})
+	a := arch.ZedBoard()
+	st := newTimeline(g, a, a.MaxRes, true, false)
+	st.tails = tails(g)
+	order, err := priorityOrder(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Commit the first window so the searched one sees regions, busy
+	// processors and controller slots.
+	var nodes int
+	if err := st.solveWindow(order[:5], 50000, &nodes, nil); err != nil {
+		t.Fatal(err)
+	}
+	window := order[5:10]
+	plan, err := st.searchWindow(window, 50000, &nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan) != len(window) {
+		t.Fatalf("plan covers %d of %d tasks", len(plan), len(window))
+	}
+	before := nodes
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := st.searchWindow(window, 50000, &nodes, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("window search: %v allocs/op, want 0", allocs)
+	}
+	if nodes == before {
+		t.Fatal("window search explored no nodes")
 	}
 }

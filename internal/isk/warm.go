@@ -53,7 +53,7 @@ func (st *timeline) seedWarm(ps *schedule.PlatformState) error {
 	}
 	for i := range ps.Regions {
 		wr := &ps.Regions[i]
-		r := &iskRegion{
+		r := iskRegion{
 			id:         i,
 			res:        wr.Res,
 			reconfTime: st.a.ReconfTime(wr.Res),

@@ -22,8 +22,9 @@ func buildGlobal(jobs []Job) (*taskgraph.Graph, []int, []int64, error) {
 			g.AddTask(job.Name+"/"+t.Name, t.Impls...)
 			arrival = append(arrival, job.Arrival)
 		}
-		for _, ed := range job.Graph.Edges() {
-			if err := g.AddEdgeComm(off+ed[0], off+ed[1], job.Graph.EdgeComm(ed[0], ed[1])); err != nil {
+		edges, comm := job.Graph.EdgesComm()
+		for i, ed := range edges {
+			if err := g.AddEdgeComm(off+ed[0], off+ed[1], comm[i]); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -49,12 +50,13 @@ func buildTail(global *taskgraph.Graph, frozen []bool, T int64) (*taskgraph.Grap
 	for _, gt := range tailToGlobal {
 		tg.AddTask(global.Tasks[gt].Name, global.Tasks[gt].Impls...)
 	}
-	for _, ed := range global.Edges() {
+	edges, comm := global.EdgesComm()
+	for i, ed := range edges {
 		u, v := tailOf[ed[0]], tailOf[ed[1]]
 		if u < 0 || v < 0 {
 			continue
 		}
-		if err := tg.AddEdgeComm(u, v, global.EdgeComm(ed[0], ed[1])); err != nil {
+		if err := tg.AddEdgeComm(u, v, comm[i]); err != nil {
 			return nil, nil, nil, err
 		}
 	}

@@ -150,10 +150,13 @@ func TestRobustCancelledBudget(t *testing.T) {
 // run with the same seed: PA-R's node consumption is deterministic, so a
 // cap one node above the reference consumption replays the reference
 // search exactly — incumbent included — and trips on the very next charge.
+// That consumption is deterministic only on the sequential path: parallel
+// workers charge the shared budget in scheduler order, so Workers is pinned
+// to 1 instead of the GOMAXPROCS default.
 func TestRScheduleBudgetReturnsIncumbent(t *testing.T) {
 	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 8})
 	a := arch.ZedBoard()
-	opts := RandomOptions{MaxIterations: 3, Seed: 4, ModuleReuse: true}
+	opts := RandomOptions{MaxIterations: 3, Seed: 4, ModuleReuse: true, Workers: 1}
 
 	ref := budget.New(budget.Options{})
 	refOpts := opts

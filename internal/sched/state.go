@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"resched/internal/arch"
 	"resched/internal/cpm"
@@ -53,9 +54,11 @@ type state struct {
 
 	// Combined dependency graph: application edges + sequencing edges.
 	// The inner succ/pred slices retain their capacity across resets.
-	succ    [][]int
-	pred    [][]int
-	edgeSet map[[2]int]bool
+	// succComm is aligned with succ: an application edge carries its
+	// declared communication time, a sequencing edge communicates for free.
+	succ     [][]int
+	pred     [][]int
+	succComm [][]int64
 
 	// regions and placement bookkeeping. regionPool recycles regionState
 	// objects (and their task slices) across resets.
@@ -150,6 +153,7 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 		s.release = make([]int64, n)
 		s.succ = make([][]int, n)
 		s.pred = make([][]int, n)
+		s.succComm = make([][]int64, n)
 	}
 	s.impl = s.impl[:n]
 	s.dur = s.dur[:n]
@@ -158,11 +162,7 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 	s.release = s.release[:n]
 	s.succ = s.succ[:n]
 	s.pred = s.pred[:n]
-	if s.edgeSet == nil {
-		s.edgeSet = make(map[[2]int]bool, n*2)
-	} else {
-		clear(s.edgeSet)
-	}
+	s.succComm = s.succComm[:n]
 	s.regions = s.regions[:0]
 
 	for k := range s.cellSize {
@@ -177,11 +177,9 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 		s.release[t] = 0
 		s.succ[t] = append(s.succ[t][:0], g.Succ(t)...)
 		s.pred[t] = append(s.pred[t][:0], g.Pred(t)...)
+		s.succComm[t] = append(s.succComm[t][:0], g.SuccComm(t)...)
 		s.regionOf[t] = -1
 		s.procOf[t] = -1
-		for _, v := range g.Succ(t) {
-			s.edgeSet[[2]int{t, v}] = true
-		}
 	}
 }
 
@@ -211,12 +209,21 @@ func (s *state) footprint(res resources.Vector) resources.Vector {
 }
 
 // addEdge inserts a sequencing edge into the combined graph (idempotent).
+// The duplicate check scans the shorter endpoint list, so a high fan-out
+// task is never scanned for each sequencing edge it gains.
 func (s *state) addEdge(from, to int) {
-	if from == to || s.edgeSet[[2]int{from, to}] {
+	if from == to {
 		return
 	}
-	s.edgeSet[[2]int{from, to}] = true
+	if len(s.pred[to]) < len(s.succ[from]) {
+		if slices.Contains(s.pred[to], from) {
+			return
+		}
+	} else if slices.Contains(s.succ[from], to) {
+		return
+	}
 	s.succ[from] = append(s.succ[from], to)
+	s.succComm[from] = append(s.succComm[from], 0)
 	s.pred[to] = append(s.pred[to], from)
 }
 
@@ -278,9 +285,7 @@ func (s *state) isHW(t int) bool { return s.selectedImpl(t).Kind == taskgraph.HW
 // backward pass against the resulting makespan. The timing arrays alias the
 // reusable cpm workspace and are overwritten in place on every call.
 func (s *state) retime() error {
-	// Sequencing edges communicate for free; application edges carry their
-	// declared communication time.
-	est, lft, makespan, err := s.cpmWS.ComputeEdges(s.g.N(), s.succ, s.pred, s.dur, s.release, -1, s.g.EdgeComm)
+	est, lft, makespan, err := s.cpmWS.ComputeEdges(s.g.N(), s.succ, s.pred, s.dur, s.release, -1, s.succComm)
 	if err != nil {
 		return fmt.Errorf("sched: %w", err)
 	}

@@ -1,11 +1,12 @@
 package schedcache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"resched/internal/arch"
@@ -63,14 +64,20 @@ func Key(req *solve.Request, solver string) string {
 type canon struct {
 	buf []byte
 	// succ is the per-source scratch for edge sorting in graphDigest.
-	succ []int
+	succ []edgeTo
+}
+
+// edgeTo is one outgoing edge: its target and communication time.
+type edgeTo struct {
+	to   int
+	comm int64
 }
 
 // canonPool recycles scratch buffers across lookups: key computation runs
 // on every cache access, and without reuse the buffer growth (memmove +
 // mallocgc) costs more than the hashing itself on small graphs.
 var canonPool = sync.Pool{
-	New: func() any { return &canon{buf: make([]byte, 0, 8192), succ: make([]int, 0, 64)} },
+	New: func() any { return &canon{buf: make([]byte, 0, 8192), succ: make([]edgeTo, 0, 64)} },
 }
 
 func (c *canon) reset() { c.buf = c.buf[:0] }
@@ -186,13 +193,16 @@ func graphDigest(c *canon, g *taskgraph.Graph) Digest {
 		}
 	}
 	for from := range g.Tasks {
-		succ := append(c.succ[:0], g.Succ(from)...)
-		sort.Ints(succ)
+		succ := c.succ[:0]
+		for i, to := range g.Succ(from) {
+			succ = append(succ, edgeTo{to, g.SuccComm(from)[i]})
+		}
+		slices.SortFunc(succ, func(a, b edgeTo) int { return cmp.Compare(a.to, b.to) })
 		c.succ = succ[:0]
-		for _, to := range succ {
+		for _, e := range succ {
 			c.int(int64(from))
-			c.int(int64(to))
-			c.int(g.EdgeComm(from, to))
+			c.int(int64(e.to))
+			c.int(e.comm)
 		}
 	}
 	return c.sum()

@@ -60,7 +60,6 @@ func multisetDelta(a, b []uint64) int {
 func signatureOf(g *taskgraph.Graph) *Signature {
 	sig := &Signature{
 		tasks: make([]uint64, 0, g.N()),
-		edges: make([]uint64, 0, len(g.Edges())),
 	}
 	var b strings.Builder
 	for _, t := range g.Tasks {
@@ -72,9 +71,11 @@ func signatureOf(g *taskgraph.Graph) *Signature {
 		}
 		sig.tasks = append(sig.tasks, fnv64a(b.String()))
 	}
-	for _, e := range g.Edges() {
+	edges, comm := g.EdgesComm()
+	sig.edges = make([]uint64, 0, len(edges))
+	for i, e := range edges {
 		b.Reset()
-		fmt.Fprintf(&b, "e|%d|%d|%d", e[0], e[1], g.EdgeComm(e[0], e[1]))
+		fmt.Fprintf(&b, "e|%d|%d|%d", e[0], e[1], comm[i])
 		sig.edges = append(sig.edges, fnv64a(b.String()))
 	}
 	slices.Sort(sig.tasks)

@@ -83,8 +83,9 @@ func Check(s *Schedule) []error {
 	}
 
 	// 5: precedence including per-edge communication time.
-	for _, e := range s.Graph.Edges() {
-		comm := s.Graph.EdgeComm(e[0], e[1])
+	edges, edgeComm := s.Graph.EdgesComm()
+	for i, e := range edges {
+		comm := edgeComm[i]
 		if s.Tasks[e[0]].End+comm > s.Tasks[e[1]].Start {
 			bad("edge %d→%d violated: end %d + comm %d > start %d",
 				e[0], e[1], s.Tasks[e[0]].End, comm, s.Tasks[e[1]].Start)

@@ -252,12 +252,13 @@ func Freeze(s *Schedule, commit int64) (*Horizon, error) {
 
 	// Frozen-predecessor release floors for every unstarted task.
 	h.Platform.Release = make([]int64, n)
-	for _, e := range s.Graph.Edges() {
+	edges, comm := s.Graph.EdgesComm()
+	for i, e := range edges {
 		u, v := e[0], e[1]
 		if !h.Frozen[u] || h.Frozen[v] {
 			continue
 		}
-		if f := s.Tasks[u].End + s.Graph.EdgeComm(u, v) - commit; f > 0 && f > h.Platform.Release[v] {
+		if f := s.Tasks[u].End + comm[i] - commit; f > 0 && f > h.Platform.Release[v] {
 			h.Platform.Release[v] = f
 		}
 	}

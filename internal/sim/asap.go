@@ -45,8 +45,9 @@ func ASAPFrom(s *schedule.Schedule, release []int64) (*Result, error) {
 	}
 
 	// Application edges with communication delays.
-	for _, e := range s.Graph.Edges() {
-		addEdge(e[0], e[1], s.Graph.EdgeComm(e[0], e[1]))
+	edges, comm := s.Graph.EdgesComm()
+	for i, e := range edges {
+		addEdge(e[0], e[1], comm[i])
 	}
 	// Processor and region orders.
 	for p := 0; p < s.Arch.Processors; p++ {

@@ -284,9 +284,9 @@ func ExecuteFrom(s *schedule.Schedule, release []int64) (*Result, error) {
 			e := cal.next()
 			res.Events++
 			if e.kind == taskDone {
-				for _, w := range s.Graph.Succ(e.id) {
+				for i, w := range s.Graph.Succ(e.id) {
 					pendingPreds[w]--
-					if arrive := now + s.Graph.EdgeComm(e.id, w); arrive > dataAt[w] {
+					if arrive := now + s.Graph.SuccComm(e.id)[i]; arrive > dataAt[w] {
 						dataAt[w] = arrive
 					}
 					if pendingPreds[w] == 0 && dataAt[w] > now {

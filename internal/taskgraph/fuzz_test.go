@@ -7,11 +7,13 @@ import (
 	"resched/internal/resources"
 )
 
-// FuzzLoadGraphJSON fuzzes the JSON loader with arbitrary bytes. Two
-// properties are enforced: the loader never panics, and any graph it accepts
+// FuzzLoadGraphJSON fuzzes the JSON loader with arbitrary bytes. Three
+// properties are enforced: the loader never panics; any graph it accepts
 // satisfies Validate (the §III structural assumptions) and survives a
-// marshal/reload round trip unchanged in shape. The checked-in seed corpus
-// under testdata/fuzz runs as part of the ordinary test suite.
+// marshal/reload round trip unchanged in shape; and its per-adjacency
+// communication times agree with EdgeComm before and after the round trip.
+// The checked-in seed corpus under testdata/fuzz runs as part of the
+// ordinary test suite.
 func FuzzLoadGraphJSON(f *testing.F) {
 	// A small valid graph, produced by the marshaller itself.
 	g := New("seed")
@@ -39,6 +41,7 @@ func FuzzLoadGraphJSON(f *testing.F) {
 		if verr := loaded.Validate(); verr != nil {
 			t.Fatalf("Read accepted a graph that fails Validate: %v", verr)
 		}
+		checkCommAlignment(t, loaded)
 		var out bytes.Buffer
 		if werr := loaded.Write(&out); werr != nil {
 			t.Fatalf("accepted graph does not marshal: %v", werr)
@@ -51,5 +54,6 @@ func FuzzLoadGraphJSON(f *testing.F) {
 			t.Fatalf("round trip changed shape: %d/%d tasks, %d/%d edges",
 				loaded.N(), again.N(), len(loaded.Edges()), len(again.Edges()))
 		}
+		checkCommAlignment(t, again)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"resched/internal/resources"
 )
@@ -34,22 +35,13 @@ type jsonImpl struct {
 
 // MarshalJSON encodes the graph as a stable JSON document.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{Name: g.Name, Edges: g.Edges()}
+	edges, comm := g.EdgesComm()
+	jg := jsonGraph{Name: g.Name, Edges: edges}
 	if jg.Edges == nil {
 		jg.Edges = [][2]int{}
 	}
-	anyComm := false
-	for _, e := range jg.Edges {
-		if g.EdgeComm(e[0], e[1]) > 0 {
-			anyComm = true
-			break
-		}
-	}
-	if anyComm {
-		jg.Comm = make([]int64, len(jg.Edges))
-		for i, e := range jg.Edges {
-			jg.Comm[i] = g.EdgeComm(e[0], e[1])
-		}
+	if slices.ContainsFunc(comm, func(c int64) bool { return c > 0 }) {
+		jg.Comm = comm
 	}
 	for _, t := range g.Tasks {
 		jt := jsonTask{Name: t.Name}
@@ -99,14 +91,30 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	if jg.Comm != nil && len(jg.Comm) != len(jg.Edges) {
 		return fmt.Errorf("taskgraph: %d comm entries for %d edges", len(jg.Comm), len(jg.Edges))
 	}
+	// Duplicate edges keep their first position and the largest comm, as
+	// AddEdgeComm would, but through a decode-local index: the input is
+	// untrusted, and AddEdgeComm's adjacency scan costs the smaller endpoint
+	// degree per edge, which a dense input makes superlinear.
+	type slot struct{ si, pi int }
+	seen := make(map[[2]int]slot, len(jg.Edges))
 	for i, e := range jg.Edges {
 		var comm int64
 		if jg.Comm != nil {
 			comm = jg.Comm[i]
 		}
-		if err := g.AddEdgeComm(e[0], e[1], comm); err != nil {
+		if err := g.checkEdge(e[0], e[1], comm); err != nil {
 			return err
 		}
+		from, to := e[0], e[1]
+		if at, dup := seen[e]; dup {
+			if comm > g.succComm[from][at.si] {
+				g.succComm[from][at.si] = comm
+				g.predComm[to][at.pi] = comm
+			}
+			continue
+		}
+		seen[e] = slot{len(g.succ[from]), len(g.pred[to])}
+		g.appendEdge(from, to, comm)
 	}
 	return nil
 }

@@ -5,8 +5,9 @@
 package taskgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"resched/internal/resources"
 )
@@ -111,14 +112,19 @@ type Graph struct {
 	// Tasks holds the nodes; Tasks[i].ID == i.
 	Tasks []*Task
 
-	succ  [][]int
-	pred  [][]int
-	edges map[[2]int]int64 // dependency → communication time in ticks
+	succ [][]int
+	pred [][]int
+	// succComm[t][i] is the communication time in ticks of edge
+	// (t, succ[t][i]); predComm[t][i] that of edge (pred[t][i], t). Keeping
+	// the weights next to the adjacency lets the timing passes read them
+	// while they walk the edges.
+	succComm [][]int64
+	predComm [][]int64
 }
 
 // New creates an empty task graph.
 func New(name string) *Graph {
-	return &Graph{Name: name, edges: make(map[[2]int]int64)}
+	return &Graph{Name: name}
 }
 
 // AddTask appends a task and returns it. The implementations are copied.
@@ -127,6 +133,8 @@ func (g *Graph) AddTask(name string, impls ...Implementation) *Task {
 	g.Tasks = append(g.Tasks, t)
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
+	g.succComm = append(g.succComm, nil)
+	g.predComm = append(g.predComm, nil)
 	return t
 }
 
@@ -141,6 +149,30 @@ func (g *Graph) AddEdge(from, to int) error { return g.AddEdgeComm(from, to, 0) 
 // folds transfer time into execution times, which this models explicitly).
 // Adding an existing edge keeps the larger communication time.
 func (g *Graph) AddEdgeComm(from, to int, comm int64) error {
+	if err := g.checkEdge(from, to, comm); err != nil {
+		return err
+	}
+	si, pi := g.find(from, to)
+	if si < 0 && pi < 0 {
+		g.appendEdge(from, to, comm)
+		return nil
+	}
+	if comm > g.EdgeComm(from, to) {
+		if si < 0 {
+			si = slices.Index(g.succ[from], to)
+		}
+		if pi < 0 {
+			pi = slices.Index(g.pred[to], from)
+		}
+		g.succComm[from][si] = comm
+		g.predComm[to][pi] = comm
+	}
+	return nil
+}
+
+// checkEdge rejects out-of-range IDs, self-loops and negative
+// communication times.
+func (g *Graph) checkEdge(from, to int, comm int64) error {
 	if from < 0 || from >= len(g.Tasks) || to < 0 || to >= len(g.Tasks) {
 		return fmt.Errorf("taskgraph %q: edge (%d,%d) out of range [0,%d)", g.Name, from, to, len(g.Tasks))
 	}
@@ -150,22 +182,43 @@ func (g *Graph) AddEdgeComm(from, to int, comm int64) error {
 	if comm < 0 {
 		return fmt.Errorf("taskgraph %q: edge (%d,%d) has negative communication time %d", g.Name, from, to, comm)
 	}
-	key := [2]int{from, to}
-	if old, ok := g.edges[key]; ok {
-		if comm > old {
-			g.edges[key] = comm
-		}
-		return nil
-	}
-	g.edges[key] = comm
-	g.succ[from] = append(g.succ[from], to)
-	g.pred[to] = append(g.pred[to], from)
 	return nil
+}
+
+// appendEdge adds a checked edge that is not yet in the graph.
+func (g *Graph) appendEdge(from, to int, comm int64) {
+	g.succ[from] = append(g.succ[from], to)
+	g.succComm[from] = append(g.succComm[from], comm)
+	g.pred[to] = append(g.pred[to], from)
+	g.predComm[to] = append(g.predComm[to], comm)
+}
+
+// find locates edge (from, to) by scanning only the shorter of from's
+// successor list and to's predecessor list, so a lookup costs the smaller
+// endpoint degree: a high fan-out hub never scans its own fan-out to find
+// one edge. It returns the edge's index in succ[from] or in pred[to] (the
+// other is -1), or -1, -1 when the edge does not exist.
+func (g *Graph) find(from, to int) (si, pi int) {
+	if from < 0 || from >= len(g.succ) || to < 0 || to >= len(g.pred) {
+		return -1, -1
+	}
+	if len(g.pred[to]) < len(g.succ[from]) {
+		return -1, slices.Index(g.pred[to], from)
+	}
+	return slices.Index(g.succ[from], to), -1
 }
 
 // EdgeComm returns the communication time of edge (from, to), or 0 when
 // the edge does not exist.
-func (g *Graph) EdgeComm(from, to int) int64 { return g.edges[[2]int{from, to}] }
+func (g *Graph) EdgeComm(from, to int) int64 {
+	switch si, pi := g.find(from, to); {
+	case si >= 0:
+		return g.succComm[from][si]
+	case pi >= 0:
+		return g.predComm[to][pi]
+	}
+	return 0
+}
 
 // N returns |T|.
 func (g *Graph) N() int { return len(g.Tasks) }
@@ -176,25 +229,61 @@ func (g *Graph) Succ(t int) []int { return g.succ[t] }
 // Pred returns the predecessor task IDs of t. The slice must not be modified.
 func (g *Graph) Pred(t int) []int { return g.pred[t] }
 
+// SuccComm returns the communication times of t's outgoing edges, aligned
+// with Succ(t). The slice must not be modified.
+func (g *Graph) SuccComm(t int) []int64 { return g.succComm[t] }
+
+// PredComm returns the communication times of t's incoming edges, aligned
+// with Pred(t). The slice must not be modified.
+func (g *Graph) PredComm(t int) []int64 { return g.predComm[t] }
+
 // HasEdge reports whether (from, to) ∈ E.
 func (g *Graph) HasEdge(from, to int) bool {
-	_, ok := g.edges[[2]int{from, to}]
-	return ok
+	si, pi := g.find(from, to)
+	return si >= 0 || pi >= 0
 }
 
 // Edges returns all edges sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
-	out := make([][2]int, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
+	edges, _ := g.sortedEdges(false)
+	return edges
+}
+
+// EdgesComm returns Edges() together with each edge's communication time,
+// aligned index for index. Callers that walk every edge with its weight
+// use it instead of an EdgeComm lookup per edge.
+func (g *Graph) EdgesComm() ([][2]int, []int64) { return g.sortedEdges(true) }
+
+func (g *Graph) sortedEdges(withComm bool) ([][2]int, []int64) {
+	n := 0
+	for _, ss := range g.succ {
+		n += len(ss)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	edges := make([][2]int, 0, n)
+	var comm []int64
+	if withComm {
+		comm = make([]int64, 0, n)
+	}
+	type edgeTo struct {
+		to   int
+		comm int64
+	}
+	var run []edgeTo
+	for u, ss := range g.succ {
+		// Successors keep insertion order; sort this source's run by target.
+		run = run[:0]
+		for i, v := range ss {
+			run = append(run, edgeTo{v, g.succComm[u][i]})
 		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+		slices.SortFunc(run, func(a, b edgeTo) int { return cmp.Compare(a.to, b.to) })
+		for _, e := range run {
+			edges = append(edges, [2]int{u, e.to})
+			if withComm {
+				comm = append(comm, e.comm)
+			}
+		}
+	}
+	return edges, comm
 }
 
 // Validate checks the structural assumptions of §III: the graph is acyclic,
@@ -250,9 +339,8 @@ func (g *Graph) Clone() *Graph {
 	for i := range g.Tasks {
 		c.succ[i] = append([]int(nil), g.succ[i]...)
 		c.pred[i] = append([]int(nil), g.pred[i]...)
-	}
-	for e, comm := range g.edges {
-		c.edges[e] = comm
+		c.succComm[i] = append([]int64(nil), g.succComm[i]...)
+		c.predComm[i] = append([]int64(nil), g.predComm[i]...)
 	}
 	return c
 }

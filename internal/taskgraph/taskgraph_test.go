@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -459,5 +460,104 @@ func mustEdge(tb testing.TB, g *Graph, from, to int) {
 	tb.Helper()
 	if err := g.AddEdge(from, to); err != nil {
 		tb.Fatal(err)
+	}
+}
+
+// checkCommAlignment asserts that the communication times stored beside the
+// adjacency lists agree with EdgeComm for every edge, in both directions,
+// and that every adjacency entry is an edge Edges reports.
+func checkCommAlignment(t *testing.T, g *Graph) {
+	t.Helper()
+	adjacent := 0
+	for v := 0; v < g.N(); v++ {
+		if len(g.SuccComm(v)) != len(g.Succ(v)) || len(g.PredComm(v)) != len(g.Pred(v)) {
+			t.Fatalf("task %d: comm lists %d/%d for %d successors, %d predecessors",
+				v, len(g.SuccComm(v)), len(g.PredComm(v)), len(g.Succ(v)), len(g.Pred(v)))
+		}
+		for i, w := range g.Succ(v) {
+			if c := g.SuccComm(v)[i]; c != g.EdgeComm(v, w) {
+				t.Fatalf("edge (%d,%d): SuccComm %d, EdgeComm %d", v, w, c, g.EdgeComm(v, w))
+			}
+		}
+		for i, u := range g.Pred(v) {
+			if c := g.PredComm(v)[i]; c != g.EdgeComm(u, v) {
+				t.Fatalf("edge (%d,%d): PredComm %d, EdgeComm %d", u, v, c, g.EdgeComm(u, v))
+			}
+		}
+		adjacent += len(g.Succ(v))
+	}
+	if n := len(g.Edges()); n != adjacent {
+		t.Fatalf("Edges reports %d edges, adjacency holds %d", n, adjacent)
+	}
+}
+
+// TestCommAlignment checks the adjacency-aligned communication times after
+// duplicate insertions (the larger time is kept), a Clone and a JSON round
+// trip, and that Edges keeps its lexicographic order throughout.
+func TestCommAlignment(t *testing.T) {
+	g := New("align")
+	for i := 0; i < 6; i++ {
+		g.AddTask("t", Implementation{Name: "sw", Kind: SW, Time: 10})
+	}
+	// Successors are inserted out of target order on purpose.
+	for _, e := range []struct {
+		from, to int
+		comm     int64
+	}{
+		{0, 4, 3}, {0, 1, 0}, {0, 2, 9}, {1, 3, 5}, {2, 3, 1}, {4, 5, 2},
+		{0, 4, 8}, {0, 4, 1}, {2, 3, 0}, {1, 3, 7}, // duplicates
+	} {
+		if err := g.AddEdgeComm(e.from, e.to, e.comm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][2]int{{0, 1}, {0, 2}, {0, 4}, {1, 3}, {2, 3}, {4, 5}}
+	wantComm := []int64{0, 9, 8, 7, 1, 2}
+	check := func(label string, g *Graph) {
+		t.Helper()
+		checkCommAlignment(t, g)
+		if got := g.Edges(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Edges = %v, want %v", label, got, want)
+		}
+		for i, e := range want {
+			if c := g.EdgeComm(e[0], e[1]); c != wantComm[i] {
+				t.Errorf("%s: EdgeComm%v = %d, want %d", label, e, c, wantComm[i])
+			}
+		}
+		if g.EdgeComm(3, 0) != 0 || g.HasEdge(3, 0) || g.HasEdge(-1, 0) || g.EdgeComm(99, 0) != 0 {
+			t.Errorf("%s: absent edges must report no edge and zero comm", label)
+		}
+	}
+	check("built", g)
+	check("clone", g.Clone())
+	var buf bytes.Buffer
+	if err := g.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("json", loaded)
+
+	// A decoded document with the same duplicate edges, in the same order,
+	// resolves them as AddEdgeComm does.
+	doc := `{"name":"align","tasks":[` + strings.Repeat(`{"name":"t","impls":[{"name":"sw","kind":"SW","time":10}]},`, 5) +
+		`{"name":"t","impls":[{"name":"sw","kind":"SW","time":10}]}],` +
+		`"edges":[[0,4],[0,1],[0,2],[1,3],[2,3],[4,5],[0,4],[0,4],[2,3],[1,3]],` +
+		`"comm":[3,0,9,5,1,2,8,1,0,7]}`
+	dups, err := Read(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("json duplicates", dups)
+	for v := 0; v < g.N(); v++ {
+		if !reflect.DeepEqual(dups.Succ(v), g.Succ(v)) || !reflect.DeepEqual(dups.Pred(v), g.Pred(v)) {
+			t.Fatalf("task %d: decoded adjacency %v/%v, built %v/%v", v, dups.Succ(v), dups.Pred(v), g.Succ(v), g.Pred(v))
+		}
+	}
+	edges, comm := g.EdgesComm()
+	if !reflect.DeepEqual(edges, want) || !reflect.DeepEqual(comm, wantComm) {
+		t.Fatalf("EdgesComm = %v %v, want %v %v", edges, comm, want, wantComm)
 	}
 }
