@@ -56,11 +56,12 @@ fuzz:
 
 # bench runs the Table I suite (plus the PA-R worker-scaling benchmarks,
 # the nil-trace overhead guard, and the floorplanner and IS-k window
-# layer benchmarks) and records it as structured JSON, the file successive
-# PRs diff to track scheduler performance over time. GOMAXPROCS is pinned
+# layer benchmarks, among them a floorplan query that runs to the node
+# cap) and records it as structured JSON, the file successive PRs diff to
+# track scheduler performance over time. GOMAXPROCS is pinned
 # to 2 with -cpu; cmd/benchjson reads it back from the -2 name suffixes and
 # states it in the JSON.
-BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkISKWindow
+BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkFloorplanSolveCapped|BenchmarkISKWindow
 BENCH_PKGS = . ./internal/isk
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -cpu 2 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_table1.json

@@ -383,6 +383,34 @@ func BenchmarkFloorplanSolvePA(b *testing.B) {
 	}
 }
 
+// BenchmarkFloorplanSolveCapped measures a suite query the backtracking
+// search cannot decide: the regions of PA's first attempt on the 20-task
+// group's first graph, which end infeasible-unproven at the default
+// 200 000-node cap. Such node-capped queries take most of PA's floorplan
+// time over the suite.
+func BenchmarkFloorplanSolveCapped(b *testing.B) {
+	a := arch.ZedBoard()
+	e := instance(b, 20, 0)
+	s, _, err := sched.Schedule(e.Graph, a, sched.Options{SkipFloorplan: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	regions := make([]resources.Vector, len(s.Regions))
+	for i, r := range s.Regions {
+		regions[i] = r.Res
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := floorplan.Solve(a.Fabric, regions, floorplan.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Feasible || res.Proven {
+			b.Fatalf("query decided in %d nodes; it must run to the node cap", res.Nodes)
+		}
+	}
+}
+
 // BenchmarkSuiteGeneration measures the §VII-A instance generator.
 func BenchmarkSuiteGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -291,6 +291,65 @@ func (b *Budget) Charge(n int64) error {
 	return nil
 }
 
+// ChargeRun charges a run of n nodes as n successive Charge(1) calls would,
+// made back to back: it stops at the first call that fails and returns how
+// many calls succeeded before it (n when none failed) with that call's
+// error. A failing call is charged, as Charge charges it, except on
+// cancellation. Searches that skip a run of nodes in bulk use it to keep
+// their node counts and abort points those of a per-node loop. Concurrent
+// chargers see the run's nodes added in one atomic step.
+func (b *Budget) ChargeRun(n int64) (int64, error) {
+	if b == nil || n <= 0 {
+		return n, nil
+	}
+	if b.cancel.tripped() {
+		return 0, b.noteExhausted(ErrCancelled)
+	}
+	// calls is how many Charge(1) calls the run makes, the failing one
+	// included; fail is that call's error (nil when all n pass).
+	calls, fail := n, (*Error)(nil)
+	if !b.deadline.IsZero() {
+		// The first call that reads the clock: every call under an
+		// injected clock, the next stride boundary under the real one.
+		first := int64(1)
+		if b.strided {
+			first = clockStride - b.s.ticks.Load()%clockStride
+		}
+		if first <= n && !b.clock().Before(b.deadline) {
+			calls, fail = first, ErrDeadline
+		}
+	}
+	if b.maxNodes > 0 {
+		for {
+			before := b.s.nodes.Load()
+			c, f := calls, fail
+			// Call i fails the cap when before+i > maxNodes; at the same
+			// call the cap is tested before the clock.
+			if capAt := max(b.maxNodes-before+1, 1); capAt <= c {
+				c, f = capAt, ErrNodeCap
+			}
+			if b.s.nodes.CompareAndSwap(before, before+c) {
+				calls, fail = c, f
+				break
+			}
+		}
+	} else {
+		b.s.nodes.Add(calls)
+	}
+	if b.strided && !b.deadline.IsZero() {
+		// Only calls that pass the node cap reach the clock stride.
+		ticked := calls
+		if fail == ErrNodeCap {
+			ticked--
+		}
+		b.s.ticks.Add(ticked)
+	}
+	if fail != nil {
+		return calls - 1, b.noteExhausted(fail)
+	}
+	return n, nil
+}
+
 // Check verifies the budget without charging nodes, always consulting the
 // clock. Use it at phase and attempt boundaries where the extra clock read
 // is immaterial; inner loops should prefer Charge.

@@ -293,3 +293,67 @@ func TestConcurrentCancelLandsQuickly(t *testing.T) {
 		t.Fatal("worker did not observe Cancel within 1s")
 	}
 }
+
+// TestChargeRunMatchesChargeLoop pins ChargeRun to its definition: a run of
+// n nodes succeeds as far as n back-to-back Charge(1) calls would, fails
+// with the same error at the same call, and leaves the same node count.
+// Twin budgets, one charged per node and one per run, walk the same
+// schedule of runs past node caps, expired deadlines under both clock
+// modes, and cancellation.
+func TestChargeRunMatchesChargeLoop(t *testing.T) {
+	past := time.Unix(1, 0)
+	cases := []struct {
+		name string
+		opt  func() Options
+		runs []int64
+	}{
+		{"unlimited", func() Options { return Options{} }, []int64{1, 7, 0, 64}},
+		{"cap inside a run", func() Options { return Options{MaxNodes: 10} }, []int64{3, 4, 9, 1, 5}},
+		{"cap at a run end", func() Options { return Options{MaxNodes: 12} }, []int64{6, 6, 1}},
+		{"cap already spent", func() Options { return Options{MaxNodes: 2} }, []int64{2, 5}},
+		{"injected clock expired", func() Options {
+			clk := newFakeClock()
+			return Options{Deadline: past, Clock: clk.Now}
+		}, []int64{5, 1}},
+		{"real clock expired", func() Options { return Options{Deadline: past} }, []int64{3, 40, 50, 100}},
+		{"real clock and cap", func() Options { return Options{Deadline: past, MaxNodes: 20} }, []int64{10, 15, 80}},
+		{"real clock cap first", func() Options { return Options{Deadline: past, MaxNodes: 70} }, []int64{60, 30}},
+		{"real clock live", func() Options { return Options{Timeout: time.Hour, MaxNodes: 300} }, []int64{100, 100, 150}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			loop, run := New(c.opt()), New(c.opt())
+			for i, n := range c.runs {
+				var wantOK int64
+				var wantErr error
+				for ; wantOK < n; wantOK++ {
+					if wantErr = loop.Charge(1); wantErr != nil {
+						break
+					}
+				}
+				gotOK, gotErr := run.ChargeRun(n)
+				if gotOK != wantOK || gotErr != wantErr {
+					t.Fatalf("run %d of %d: ChargeRun = (%d, %v), Charge loop = (%d, %v)", i, n, gotOK, gotErr, wantOK, wantErr)
+				}
+				if run.Nodes() != loop.Nodes() || run.s.ticks.Load() != loop.s.ticks.Load() {
+					t.Fatalf("run %d: ChargeRun leaves nodes %d ticks %d, Charge loop %d ticks %d",
+						i, run.Nodes(), run.s.ticks.Load(), loop.Nodes(), loop.s.ticks.Load())
+				}
+			}
+		})
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		b := New(Options{MaxNodes: 100})
+		b.Cancel()
+		if ok, err := b.ChargeRun(5); ok != 0 || !errors.Is(err, ErrCancelled) || b.Nodes() != 0 {
+			t.Fatalf("cancelled ChargeRun = (%d, %v) with %d nodes, want (0, ErrCancelled) and none charged", ok, err, b.Nodes())
+		}
+	})
+	t.Run("nil", func(t *testing.T) {
+		var b *Budget
+		if ok, err := b.ChargeRun(9); ok != 9 || err != nil {
+			t.Fatalf("nil ChargeRun = (%d, %v), want (9, nil)", ok, err)
+		}
+	})
+}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"resched/internal/arch"
+	"resched/internal/budget"
+	"resched/internal/obs"
 	"resched/internal/resources"
 )
 
@@ -58,14 +60,19 @@ func referenceFootprint(f *arch.Fabric, req resources.Vector) resources.Vector {
 }
 
 // referenceSolve is the backtracking floorplanner as it was before the
-// prefix tables: candidate preparation as in solve, then a DFS that rebuilds
-// each candidate's column mask and covered cells with column loops at every
-// node. It is the oracle the production search must match exactly.
-func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) *Result {
-	res := &Result{}
+// prefix tables and the clash bitsets: candidate preparation as in solve,
+// then a DFS that tests every candidate on its own, charging the budget one
+// node at a time, rebuilding the candidate's column mask and covered cells
+// with column loops and testing the mask against one occupancy bitmask per
+// clock-region row. It is the oracle the production search must match
+// exactly. clashAbort reports that the budget aborted the search on a
+// candidate that clashed, i.e. inside a run the production search skips in
+// bulk.
+func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) (res *Result, clashAbort bool) {
+	res = &Result{}
 	if len(regions) == 0 {
 		res.Feasible, res.Proven = true, true
-		return res
+		return res, false
 	}
 	var total resources.Vector
 	for _, r := range regions {
@@ -73,7 +80,7 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) *Re
 	}
 	if !total.Fits(f.Capacity()) {
 		res.Proven = true
-		return res
+		return res, false
 	}
 	cands := make([][]Placement, len(regions))
 	capped := false
@@ -81,7 +88,7 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) *Re
 		cands[i] = referenceEnumerate(f, r)
 		if len(cands[i]) == 0 {
 			res.Proven = true
-			return res
+			return res, false
 		}
 		sort.Slice(cands[i], func(a, b int) bool {
 			pa, pb := cands[i][a], cands[i][b]
@@ -179,6 +186,10 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) *Re
 					}
 				}
 			}
+			if opt.Budget.Charge(1) != nil {
+				aborted, clashAbort = true, clash
+				return false
+			}
 			if clash {
 				continue
 			}
@@ -211,10 +222,10 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) *Re
 	if dfs(0) {
 		res.Feasible, res.Proven = true, true
 		res.Placements = chosen
-		return res
+		return res, false
 	}
 	res.Proven = !aborted && !capped
-	return res
+	return res, clashAbort
 }
 
 // equivFabrics are the fabrics the equivalence properties run on: the three
@@ -286,11 +297,163 @@ func TestBacktrackingMatchesReference(t *testing.T) {
 				t.Fatalf("%s trial %d: %v", name, trial, err)
 			}
 			got.Elapsed = 0
-			want := referenceSolve(f, regions, opt)
+			want, _ := referenceSolve(f, regions, opt)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d regions %v:\n got %+v\nwant %+v", name, trial, regions, got, want)
 			}
 		}
+	}
+}
+
+// Property: one Planner reused across a sequence of calls answers every
+// call exactly as the reference search and a fresh Solve do: verdict, proof
+// status, placements and node count. Requirements come from a small pool
+// that drifts, so within a sequence they repeat inside a call, carry over
+// from the previous call, drop out of the memo after two calls without them
+// and come back. Calls mix candidate caps (the search must stop at the
+// capped view), node caps and budget caps small enough to abort inside a
+// skipped run, and the MILP method.
+func TestPlannerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var clashAborts, carried, returned, evicted int
+	for _, nf := range equivFabrics(t) {
+		name, f := nf.name, nf.f
+		capacity := f.Capacity()
+		pool := make([]resources.Vector, 12)
+		for i := range pool {
+			pool[i] = randomRequirement(rng, capacity, 0.3)
+		}
+		p := NewPlanner(f)
+		seen := map[resources.Vector]bool{}
+		for call := 0; call < 80; call++ {
+			regions := make([]resources.Vector, 1+rng.Intn(6))
+			base := call / 4
+			for i := range regions {
+				regions[i] = pool[(base+rng.Intn(4))%len(pool)]
+			}
+			var opt Options
+			var budgetCap int64
+			switch call % 5 {
+			case 0:
+				opt.MaxNodes = 5000
+			case 1:
+				opt.MaxNodes, opt.MaxCandidates = 5000, 1+rng.Intn(20)
+			case 2:
+				opt.MaxNodes = 1 + rng.Intn(300)
+			case 3:
+				budgetCap = 1 + rng.Int63n(400)
+			case 4:
+				if len(regions) <= 3 {
+					opt.Method, opt.MaxCandidates = MILP, 1+rng.Intn(8)
+				} else {
+					opt.MaxNodes = 5000
+				}
+			}
+			// Each search gets its own budget: they must all see the same cap.
+			withBudget := func() Options {
+				o := opt
+				if budgetCap > 0 {
+					o.Budget = budget.New(budget.Options{MaxNodes: budgetCap})
+				}
+				return o
+			}
+			before := map[resources.Vector]bool{}
+			for req := range p.sets {
+				before[req] = true
+			}
+			tr := obs.New()
+			o := withBudget()
+			o.Trace = tr
+			got, err := p.Solve(regions, o)
+			if err != nil {
+				t.Fatalf("%s call %d: %v", name, call, err)
+			}
+			fresh, err := Solve(f, regions, withBudget())
+			if err != nil {
+				t.Fatalf("%s call %d: fresh Solve: %v", name, call, err)
+			}
+			got.Elapsed, fresh.Elapsed = 0, 0
+			if !reflect.DeepEqual(got, fresh) {
+				t.Fatalf("%s call %d regions %v opt %+v:\nplanner %+v\n  fresh %+v", name, call, regions, opt, got, fresh)
+			}
+			if opt.Method == Backtracking {
+				want, clashAbort := referenceSolve(f, regions, withBudget())
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s call %d regions %v opt %+v budget cap %d:\nplanner   %+v\nreference %+v",
+						name, call, regions, opt, budgetCap, got, want)
+				}
+				if clashAbort {
+					clashAborts++
+				}
+			}
+
+			// The memo keeps the sets of this call and the previous one.
+			for req, s := range p.sets {
+				if s.used < p.gen-1 {
+					t.Fatalf("%s call %d: set %v last used by call %d survives call %d", name, call, req, s.used, p.gen)
+				}
+			}
+			m := tr.Snapshot()
+			if b, r := m.Counters["floorplan.candsets_built"], m.Counters["floorplan.candsets_reused"]; b+r > int64(len(regions)) {
+				t.Fatalf("%s call %d: %d sets built and %d reused for %d regions", name, call, b, r, len(regions))
+			}
+			for _, req := range regions {
+				switch {
+				case before[req]:
+					carried++
+				case seen[req]:
+					returned++
+				}
+				seen[req] = true
+			}
+			for req := range before {
+				if _, ok := p.sets[req]; !ok {
+					evicted++
+				}
+			}
+		}
+	}
+	if clashAborts == 0 || carried == 0 || returned == 0 || evicted == 0 {
+		t.Fatalf("sequences too tame: %d aborts inside a skipped run, %d carried, %d returning, %d evicted requirements",
+			clashAborts, carried, returned, evicted)
+	}
+}
+
+// A budget cap that lands inside a run of clashing candidates, which the
+// search charges in one ChargeRun, aborts at the node and with the node
+// count of the per-node reference. Caps up to the solving node count are
+// tried on the instance of TestBudgetMidSearchNotProven: every one of the
+// first 200, then every 29th.
+func TestBudgetCapInsideSkippedRun(t *testing.T) {
+	f := zynq()
+	var regions []resources.Vector
+	for i := 0; i < 30; i++ {
+		regions = append(regions, resources.Vec(300, 0, 0))
+	}
+	full, err := Solve(f, regions, Options{})
+	if err != nil || !full.Feasible {
+		t.Fatalf("reference instance: %+v, %v", full, err)
+	}
+	clashAborts := 0
+	for c := int64(1); c <= int64(full.Nodes); c++ {
+		if c > 200 {
+			c += 28
+		}
+		got, err := Solve(f, regions, Options{Budget: budget.New(budget.Options{MaxNodes: c})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Elapsed = 0
+		want, clashAbort := referenceSolve(f, regions, Options{Budget: budget.New(budget.Options{MaxNodes: c})})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d:\n got %+v\nwant %+v", c, got, want)
+		}
+		if clashAbort {
+			clashAborts++
+		}
+	}
+	if clashAborts == 0 {
+		t.Fatalf("no cap of 1..%d landed inside a skipped run", full.Nodes)
 	}
 }
 

@@ -14,10 +14,8 @@
 package floorplan
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"resched/internal/arch"
@@ -183,121 +181,10 @@ type Result struct {
 }
 
 // Solve searches for a disjoint placement of all regions on the fabric.
-// Regions with zero requirements are rejected.
+// Regions with zero requirements are rejected. It is a fresh Planner's
+// Solve; callers that floorplan repeatedly should keep one Planner.
 func Solve(f *arch.Fabric, regions []resources.Vector, opt Options) (*Result, error) {
-	sp := opt.Trace.Start("floorplan.solve",
-		obs.Str("method", opt.Method.String()), obs.Int("regions", int64(len(regions))))
-	if opt.Faults.FloorplanSolve() {
-		opt.Trace.Count("floorplan.calls", 1)
-		opt.Trace.Count("floorplan.infeasible", 1)
-		opt.Trace.Count("floorplan.faults", 1)
-		sp.End(obs.Str("outcome", "fault-infeasible"))
-		return &Result{}, nil
-	}
-	res, err := solve(f, regions, opt)
-	opt.Trace.Count("floorplan.calls", 1)
-	switch {
-	case err != nil:
-		opt.Trace.Count("floorplan.errors", 1)
-		sp.End(obs.Str("outcome", "error"))
-	case res.Feasible:
-		opt.Trace.Count("floorplan.feasible", 1)
-		opt.Trace.Count("floorplan.nodes", int64(res.Nodes))
-		sp.End(obs.Str("outcome", "feasible"), obs.Int("nodes", int64(res.Nodes)))
-	default:
-		opt.Trace.Count("floorplan.infeasible", 1)
-		opt.Trace.Count("floorplan.nodes", int64(res.Nodes))
-		outcome := "infeasible"
-		if !res.Proven {
-			outcome = "infeasible-unproven"
-		}
-		sp.End(obs.Str("outcome", outcome), obs.Int("nodes", int64(res.Nodes)))
-	}
-	return res, err
-}
-
-// solve is the uninstrumented search behind Solve.
-func solve(f *arch.Fabric, regions []resources.Vector, opt Options) (*Result, error) {
-	start := time.Now()
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	for i, r := range regions {
-		if r.Zero() {
-			return nil, fmt.Errorf("floorplan: region %d has no resource requirements", i)
-		}
-		if !r.NonNegative() {
-			return nil, fmt.Errorf("floorplan: region %d has negative requirements %v", i, r)
-		}
-	}
-	res := &Result{}
-	if len(regions) == 0 {
-		res.Feasible, res.Proven = true, true
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-	// Quick capacity cut: total demand exceeding the device is a proven no.
-	var total resources.Vector
-	for _, r := range regions {
-		total = total.Add(r)
-	}
-	if !total.Fits(f.Capacity()) {
-		res.Proven = true
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-
-	cands := make([][]Placement, len(regions))
-	capped := false
-	for i, r := range regions {
-		cands[i] = Enumerate(f, r)
-		if len(cands[i]) == 0 {
-			// Region does not fit the device at all: proven infeasible.
-			res.Proven = true
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-		limit := opt.MaxCandidates
-		if limit == 0 && opt.Method == MILP {
-			limit = 40
-		}
-		// Prefer small-area placements, then pack toward the bottom-left
-		// corner: compact prefixes leave the largest contiguous free space
-		// for the remaining regions.
-		// slices.SortFunc runs the same pdqsort as sort.Slice, so equal
-		// keys keep the order they always had.
-		slices.SortFunc(cands[i], func(pa, pb Placement) int {
-			if c := cmp.Compare(pa.Area(), pb.Area()); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(pa.X0, pb.X0); c != 0 {
-				return c
-			}
-			return cmp.Compare(pa.Y0, pb.Y0)
-		})
-		if limit > 0 && len(cands[i]) > limit {
-			cands[i] = cands[i][:limit]
-			capped = true
-		}
-	}
-
-	var err error
-	switch opt.Method {
-	case Backtracking:
-		err = solveBacktracking(f, regions, cands, opt, res)
-	case MILP:
-		err = solveMILP(f, regions, cands, opt, res)
-	default:
-		return nil, fmt.Errorf("floorplan: unknown method %v", opt.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !res.Feasible && capped {
-		res.Proven = false
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return NewPlanner(f).Solve(regions, opt)
 }
 
 // Verify checks that the placements cover their regions' requirements and

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"resched/internal/arch"
@@ -12,11 +13,20 @@ import (
 
 const defaultMaxNodes = 200000
 
-// solveBacktracking runs an exact DFS: regions are ordered most-constrained
-// first (fewest candidate placements), and the fabric occupancy is tracked
-// with one bitmask per clock-region row.
-func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Placement, opt Options, res *Result) error {
-	words := (f.Width() + 63) / 64
+// solveBacktracking runs an exact DFS that assigns one placement per region.
+// Regions are placed biggest minimal footprint first, ties toward fewer
+// candidates, and each region's candidates are tried in their sorted order.
+// At every DFS entry the candidates that overlap a placement chosen so far
+// are found at once: each chosen rectangle selects four rows of the
+// region's prefix-bitset tables (see candSet), whose AND is the set it
+// clashes with, and the OR over the chosen rectangles is the depth's clash
+// set. The loop then jumps to the next free candidate with
+// bits.TrailingZeros64. Every candidate it passes still counts as a search
+// node: a skipped run is added to Result.Nodes and charged to the budget in
+// one ChargeRun, so node counts, aborts and the first solution found are
+// those of a loop that tests candidates one by one.
+func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, opt Options, res *Result) {
+	f := p.f
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
@@ -24,85 +34,49 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 	// Biggest-footprint-first ordering (classic bin packing: place the hard
 	// rectangles while the fabric is empty), breaking ties toward regions
 	// with fewer candidate placements.
-	area := make([]int, len(regions))
-	for i, cs := range cands {
-		if len(cs) > 0 {
-			area[i] = cs[0].Area() // cands are sorted smallest-area first
-		}
-	}
 	order := make([]int, len(regions))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if area[ia] != area[ib] {
-			return area[ia] > area[ib]
+		sa, sb := sets[order[a]], sets[order[b]]
+		// Candidates are sorted smallest-area first.
+		if aa, ab := sa.cands[0].Area(), sb.cands[0].Area(); aa != ab {
+			return aa > ab
 		}
-		if len(cands[ia]) != len(cands[ib]) {
-			return len(cands[ia]) < len(cands[ib])
+		if len(sa.cands) != len(sb.cands) {
+			return len(sa.cands) < len(sb.cands)
 		}
-		return ia < ib
+		return order[a] < order[b]
 	})
-
-	// Per-candidate multi-word column masks (fabrics may exceed 64
-	// columns) and covered cells per kind, derived once per candidate from
-	// two per-fabric prefix tables instead of column loops at every node:
-	// colMask[x] holds the columns [0,x), kindCols[x] counts them per kind.
-	width := f.Width()
-	colMask := make([]uint64, (width+1)*words)
-	kindCols := make([]resources.Vector, width+1)
-	for x := 0; x < width; x++ {
-		copy(colMask[(x+1)*words:(x+2)*words], colMask[x*words:(x+1)*words])
-		colMask[(x+1)*words+x/64] |= 1 << (x % 64)
-		kindCols[x+1] = kindCols[x]
-		kindCols[x+1][f.Columns[x]]++
-	}
-	total := 0
-	for _, cs := range cands {
-		total += len(cs)
-	}
-	maskBuf := make([]uint64, total*words)
-	coverBuf := make([]resources.Vector, total)
-	masks := make([][]uint64, len(regions))
-	covers := make([][]resources.Vector, len(regions))
-	for i, cs := range cands {
-		masks[i], maskBuf = maskBuf[:len(cs)*words], maskBuf[len(cs)*words:]
-		covers[i], coverBuf = coverBuf[:len(cs)], coverBuf[len(cs):]
-		for j, p := range cs {
-			m := masks[i][j*words : (j+1)*words]
-			hi, lo := colMask[p.X1*words:(p.X1+1)*words], colMask[p.X0*words:(p.X0+1)*words]
-			for w := range m {
-				m[w] = hi[w] &^ lo[w]
-			}
-			covers[i][j] = kindCols[p.X1].Sub(kindCols[p.X0]).Scale(p.Y1 - p.Y0)
-		}
-	}
 
 	// Aggregate free-cell bound: a region needing res_k units of kind k
 	// must cover at least ⌈res_k / unitsPerCell_k⌉ cells of that kind, so
 	// whenever the cells still needed by the unplaced regions exceed the
-	// free cells of some kind, the branch is dead. cellsNeeded is indexed
-	// like order; suffixNeed[k] pre-aggregates from position k to the end.
-	cellsNeeded := make([]resources.Vector, len(order))
-	for k, region := range order {
-		for kind, req := range regions[region] {
-			if req == 0 {
-				continue
-			}
-			per := f.UnitsPerCell[kind]
-			cellsNeeded[k][kind] = (req + per - 1) / per
-		}
-	}
+	// free cells of some kind, the branch is dead. suffixNeed[k] sums the
+	// cells needed from search depth k to the end.
 	suffixNeed := make([]resources.Vector, len(order)+1)
 	for k := len(order) - 1; k >= 0; k-- {
-		suffixNeed[k] = suffixNeed[k+1].Add(cellsNeeded[k])
+		suffixNeed[k] = suffixNeed[k+1]
+		for kind, req := range regions[order[k]] {
+			if req > 0 {
+				per := f.UnitsPerCell[kind]
+				suffixNeed[k][kind] += (req + per - 1) / per
+			}
+		}
 	}
-	freeCells := kindCols[width].Scale(f.Rows)
+	width, rows := f.Width(), f.Rows
+	kindCols := p.kindCols
+	freeCells := kindCols[width].Scale(rows)
 
-	occupied := make([][]uint64, f.Rows)
-	for y := range occupied {
-		occupied[y] = make([]uint64, words)
+	// One clash bitset per depth, covering the depth's (possibly capped)
+	// candidate view.
+	offset := make([]int, len(order)+1)
+	for k, region := range order {
+		offset[k+1] = offset[k] + (len(sets[region].cands)+63)/64
+	}
+	if cap(p.clash) < offset[len(order)] {
+		p.clash = make([]uint64, offset[len(order)])
 	}
 	chosen := make([]Placement, len(regions))
 	aborted := false
@@ -120,48 +94,53 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 			return false
 		}
 		region := order[k]
-		for j, p := range cands[region] {
-			res.Nodes++
-			// Budget is charged per node, so a cancel or deadline lands
-			// within microseconds of search; an aborted run reports
-			// infeasible-unproven below.
-			if opt.Budget.Charge(1) != nil {
+		s := &sets[region]
+		n := len(s.cands)
+		clash := p.clash[offset[k]:offset[k+1]]
+		clear(clash)
+		x1Gt, y0Lt, y1Gt := (width+1)*s.words, 2*(width+1)*s.words, (2*(width+1)+rows+1)*s.words
+		for _, placed := range order[:k] {
+			q := chosen[placed]
+			a := s.tabs[q.X1*s.words:]
+			b := s.tabs[x1Gt+q.X0*s.words:]
+			c := s.tabs[y0Lt+q.Y1*s.words:]
+			d := s.tabs[y1Gt+q.Y0*s.words:]
+			for w := range clash {
+				clash[w] |= a[w] & b[w] & c[w] & d[w]
+			}
+		}
+		for j := 0; j < n; {
+			// Candidates j..next-1 clash; next is free, or n when none is.
+			next := nextFree(clash, j, n)
+			visited := next - j
+			if next < n {
+				visited++
+			}
+			// Every node passed is charged, a run at a time, so a cancel or
+			// deadline lands within microseconds of search; an aborted run
+			// reports infeasible-unproven below.
+			ok, err := opt.Budget.ChargeRun(int64(visited))
+			if err != nil {
+				res.Nodes += int(ok) + 1
 				aborted = true
 				return false
 			}
-			m := masks[region][j*words : (j+1)*words]
-			clash := false
-			for y := p.Y0; y < p.Y1 && !clash; y++ {
-				for w, bits := range m {
-					if occupied[y][w]&bits != 0 {
-						clash = true
-						break
-					}
-				}
+			res.Nodes += visited
+			if next == n {
+				return false
 			}
-			if clash {
-				continue
-			}
-			covered := covers[region][j]
-			for y := p.Y0; y < p.Y1; y++ {
-				for w, bits := range m {
-					occupied[y][w] |= bits
-				}
-			}
+			pl := s.cands[next]
+			covered := kindCols[pl.X1].Sub(kindCols[pl.X0]).Scale(pl.Y1 - pl.Y0)
 			freeCells = freeCells.Sub(covered)
-			chosen[region] = p
+			chosen[region] = pl
 			if dfs(k + 1) {
 				return true
 			}
 			freeCells = freeCells.Add(covered)
-			for y := p.Y0; y < p.Y1; y++ {
-				for w, bits := range m {
-					occupied[y][w] &^= bits
-				}
-			}
 			if aborted {
 				return false
 			}
+			j = next + 1
 		}
 		return false
 	}
@@ -169,11 +148,25 @@ func solveBacktracking(f *arch.Fabric, regions []resources.Vector, cands [][]Pla
 	if dfs(0) {
 		res.Feasible, res.Proven = true, true
 		res.Placements = chosen
-		return nil
+		return
 	}
 	res.Feasible = false
 	res.Proven = !aborted
-	return nil
+}
+
+// nextFree returns the first index in [j, n) whose clash bit is clear, or n
+// when every one is set.
+func nextFree(clash []uint64, j, n int) int {
+	for w := j / 64; w < len(clash); w++ {
+		free := ^clash[w]
+		if w == j/64 {
+			free &= ^uint64(0) << (j % 64)
+		}
+		if free != 0 {
+			return min(w*64+bits.TrailingZeros64(free), n)
+		}
+	}
+	return n
 }
 
 // solveMILP builds the 0/1 selection model of ref [3]: one binary variable

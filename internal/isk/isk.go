@@ -135,6 +135,7 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	}
 	stats := &Stats{}
 	maxRes := a.MaxRes
+	var planner *floorplan.Planner // one for every shrink retry
 	for attempt := 0; ; attempt++ {
 		if err := opts.Budget.Check(); err != nil {
 			return nil, nil, fmt.Errorf("isk: attempt %d: %w", attempt, err)
@@ -166,7 +167,10 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 		}
 		fp := opts.Trace.Start("isk.floorplan")
 		fpBegin := time.Now()
-		res, err := floorplan.Solve(fabric, regionRes, opts.Floorplan)
+		if planner == nil {
+			planner = floorplan.NewPlanner(fabric)
+		}
+		res, err := planner.Solve(regionRes, opts.Floorplan)
 		stats.FloorplanTime += time.Since(fpBegin)
 		fp.End()
 		if err != nil {

@@ -73,8 +73,9 @@ type parResult struct {
 // (the deterministic efficiency ordering, Rand == nil); every other
 // iteration draws from its owner's private generator seeded with
 // mixSeed(Seed, w), consumed strictly in the worker's own iteration order.
-// Each worker keeps a private incumbent, capacity factor and scratch arena,
-// so nothing a worker computes depends on any other worker's progress.
+// Each worker keeps a private incumbent, capacity factor, scratch arena and
+// floorplan planner, so nothing a worker computes depends on any other
+// worker's progress.
 //
 // The reduction picks the final schedule under the total order
 // (makespan, worker index, global iteration): lowest makespan wins, ties go
@@ -197,7 +198,7 @@ func rscheduleParallel(g *taskgraph.Graph, a *arch.Architecture, fabric *arch.Fa
 // runParWorker executes worker w's share of the global iteration sequence.
 // Everything that influences scheduling decisions is worker-local: the
 // generator, the incumbent that gates floorplan queries, the capacity
-// factor and the scratch arena.
+// factor, the scratch arena and the floorplan planner.
 func runParWorker(g *taskgraph.Graph, a *arch.Architecture, fabric *arch.Fabric, opts RandomOptions, bud *budget.Budget, shared *sharedCapFactor, stop *atomic.Bool, w, workers int, bar int64, start time.Time) parResult {
 	res := parResult{capFactor: 1.0}
 	rng := rand.New(rand.NewSource(mixSeed(opts.Seed, w)))
@@ -209,6 +210,7 @@ func runParWorker(g *taskgraph.Graph, a *arch.Architecture, fabric *arch.Fabric,
 		Initial:       opts.Initial,
 		scratch:       &state{},
 	}
+	planner := floorplan.NewPlanner(fabric)
 	for k := 0; ; k++ {
 		giter := w + k*workers
 		if opts.MaxIterations > 0 && giter >= opts.MaxIterations {
@@ -271,7 +273,7 @@ func runParWorker(g *taskgraph.Graph, a *arch.Architecture, fabric *arch.Fabric,
 			fpOpts.MaxNodes = 20000
 		}
 		fpBegin := time.Now()
-		fp, err := floorplan.Solve(fabric, regionRes, fpOpts)
+		fp, err := planner.Solve(regionRes, fpOpts)
 		res.stats.FloorplanTime += time.Since(fpBegin)
 		if err != nil {
 			it.End(obs.Str("outcome", "error"))

@@ -196,6 +196,7 @@ func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*s
 		scratch:       &state{},
 	}
 	capFactor := 1.0
+	planner := floorplan.NewPlanner(fabric)
 	for {
 		if opts.MaxIterations > 0 && stats.Iterations >= opts.MaxIterations {
 			break
@@ -253,7 +254,7 @@ func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*s
 			fpOpts.MaxNodes = 20000
 		}
 		fpBegin := time.Now()
-		res, err := floorplan.Solve(fabric, regionRes, fpOpts)
+		res, err := planner.Solve(regionRes, fpOpts)
 		stats.FloorplanTime += time.Since(fpBegin)
 		if err != nil {
 			it.End(obs.Str("outcome", "error"))

@@ -164,6 +164,9 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 		opts.Trace.Observe("pa.reconfigurations", float64(len(sch.Reconfs)))
 	}
 	maxRes := a.MaxRes
+	// One planner serves every shrink retry: requirements the attempts
+	// share keep their sorted candidates and overlap tables.
+	var planner *floorplan.Planner
 	for attempt := 0; ; attempt++ {
 		if err := opts.Budget.Check(); err != nil {
 			return nil, nil, fmt.Errorf("sched: PA attempt %d: %w", attempt, err)
@@ -209,7 +212,10 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 		}
 		p8 := opts.Trace.Start("pa.phase8.floorplan")
 		fpBegin := time.Now()
-		res, err := floorplan.Solve(fabric, regionRes, opts.Floorplan)
+		if planner == nil {
+			planner = floorplan.NewPlanner(fabric)
+		}
+		res, err := planner.Solve(regionRes, opts.Floorplan)
 		stats.FloorplanTime += time.Since(fpBegin)
 		p8.End()
 		if err != nil {
