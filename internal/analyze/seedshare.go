@@ -10,9 +10,9 @@ import (
 // math/rand generators are not safe for concurrent use, and — worse for
 // this repository — sharing one across goroutines makes the draw order
 // depend on goroutine scheduling, which destroys PA-R's fixed-seed
-// reproducibility. The parallel search derives a private generator per
-// worker from mixSeed (internal/sched/parallel.go); new concurrent code
-// must do the same.
+// reproducibility. The PA-R search gives each worker a private generator
+// seeded from mixSeed (internal/sched/random.go); new concurrent code must
+// do the same.
 var SeedShare = &Analyzer{
 	Name: "seedshare",
 	Doc:  "goroutines must own a private *rand.Rand, not capture a shared one",

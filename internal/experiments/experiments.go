@@ -76,10 +76,9 @@ type Config struct {
 	// Trace, when non-nil, records one span per (instance, algorithm) pair
 	// and forwards the trace into every scheduler so their attempt, phase
 	// and window spans land in the same timeline. A nil trace is a no-op.
-	// With Workers > 1 each instance records a detached root span instead
-	// (obs.StartRoot) and the inner schedulers are not traced: the span
-	// nesting stack is a single sequential chain that concurrent instances
-	// would corrupt.
+	// With Workers > 1 each instance records on a trace lane of its own
+	// (obs.Trace.Lane), so concurrent instances never nest spans under
+	// each other.
 	Trace *obs.Trace
 	// Workers bounds the number of instances evaluated concurrently
 	// (0 or 1 = sequential, the historical behaviour). Results keep their
@@ -188,12 +187,6 @@ func runParallel(cfg Config, selected []benchgen.SuiteEntry, progress func(done,
 	if workers > len(selected) {
 		workers = len(selected)
 	}
-	// Inner schedulers must not push onto the trace's sequential nesting
-	// stack from several goroutines; instances record detached root spans
-	// here instead.
-	innerCfg := cfg
-	innerCfg.Trace = nil
-
 	type slot struct {
 		res  InstanceResult
 		err  error
@@ -216,11 +209,9 @@ func runParallel(cfg Config, selected []benchgen.SuiteEntry, progress func(done,
 					// undone and the fan-in reports the partial run.
 					return
 				}
-				e := selected[i]
-				inst := cfg.Trace.StartRoot("experiment.instance",
-					obs.Int("group", int64(e.Group)), obs.Int("index", int64(e.Index)))
-				r, err := runInstance(innerCfg, e)
-				inst.End()
+				icfg := cfg
+				icfg.Trace = cfg.Trace.Lane()
+				r, err := runInstance(icfg, selected[i])
 				slots[i] = slot{res: r, err: err, done: true}
 				if err != nil {
 					// A hard error poisons the run (matching the

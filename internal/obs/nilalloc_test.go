@@ -19,6 +19,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 		"Event":     func() { tr.Event("x") },
 		"StartEnd":  func() { sp := tr.Start("x"); sp.End() },
 		"StartRoot": func() { sp := tr.StartRoot("x"); sp.End() },
+		"Lane":      func() { sp := tr.Lane().Start("x"); sp.End() },
 		"Enabled":   func() { _ = tr.Enabled() },
 		"EnabledGuardedEvent": func() {
 			if tr.Enabled() {

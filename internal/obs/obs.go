@@ -51,7 +51,19 @@ func Bool(key string, val bool) Arg { return Arg{Key: key, Val: val} }
 // events for one run. The zero value is not usable; construct with New (or
 // NewWithClock for deterministic exports). All methods are safe on a nil
 // receiver and safe for concurrent use.
+//
+// A Trace is also a lane: a recording cursor that nests each Start under
+// the innermost span still open on that same lane. Nesting is a sequential
+// chain, so one goroutine records on a lane at a time; concurrent recorders
+// (PA-R workers, solves sharing a daemon's trace) each take their own Lane
+// over the shared store, and no recorder's End can close another's span.
 type Trace struct {
+	*store
+	open int // index of the lane's innermost open span, -1 at root; guarded by mu
+}
+
+// store is the content every lane of one trace records into.
+type store struct {
 	mu sync.Mutex
 	// clock returns the monotonic time since the trace epoch. time.Since
 	// on the epoch captured by New reads the monotonic clock, so spans are
@@ -59,7 +71,6 @@ type Trace struct {
 	// reproducible exports.
 	clock      func() time.Duration
 	spans      []spanRecord
-	open       int // index of the innermost open span, -1 at root
 	counters   map[string]int64
 	gauges     map[string]float64
 	histograms map[string]*histogram
@@ -79,14 +90,10 @@ type spanRecord struct {
 	start  time.Duration
 	end    time.Duration // negative while open
 	args   []Arg
-	// detached marks a span opened with StartRoot: it never participates
-	// in the open-span chain, so concurrent goroutines can record spans
-	// without corrupting the single-stack nesting.
-	detached bool
 }
 
-// Span is a handle to an in-flight span. A nil *Span (returned by a nil
-// trace) accepts every method as a no-op.
+// Span is a handle to an in-flight span on the lane that started it. A nil
+// *Span (returned by a nil trace) accepts every method as a no-op.
 type Span struct {
 	tr *Trace
 	id int
@@ -104,11 +111,13 @@ func New() *Trace {
 // replay tooling depend on this — and must be monotone non-decreasing.
 func NewWithClock(clock func() time.Duration) *Trace {
 	return &Trace{
-		clock:      clock,
-		open:       -1,
-		counters:   make(map[string]int64),
-		gauges:     make(map[string]float64),
-		histograms: make(map[string]*histogram),
+		store: &store{
+			clock:      clock,
+			counters:   make(map[string]int64),
+			gauges:     make(map[string]float64),
+			histograms: make(map[string]*histogram),
+		},
+		open: -1,
 	}
 }
 
@@ -117,8 +126,21 @@ func NewWithClock(clock func() time.Duration) *Trace {
 // when tracing is off.
 func (t *Trace) Enabled() bool { return t != nil }
 
-// Start opens a span nested under the innermost open span. It returns nil
-// (a valid no-op handle) when the trace is nil.
+// Lane returns a new lane over t's store whose first Start nests under t's
+// innermost open span. The caller hands it to one concurrent recorder; what
+// that recorder starts and ends never moves t's own cursor. It returns nil
+// when the trace is nil.
+func (t *Trace) Lane() *Trace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Trace{store: t.store, open: t.open}
+}
+
+// Start opens a span nested under the lane's innermost open span. It
+// returns nil (a valid no-op handle) when the trace is nil.
 func (t *Trace) Start(name string, args ...Arg) *Span {
 	if t == nil {
 		return nil
@@ -142,37 +164,22 @@ func (t *Trace) Start(name string, args ...Arg) *Span {
 	return &Span{tr: t, id: id}
 }
 
-// StartRoot opens a span at the root of the trace, bypassing the open-span
-// stack: the new span has no parent and does not become the parent of
-// subsequent Start calls. This is the entry point for concurrent recording —
-// parallel workers (PA-R's worker pool, the experiment harness's instance
-// pool) each record their spans as detached roots, because the nesting stack
-// is a single sequential chain and interleaved Start/End pairs from several
-// goroutines would corrupt it. It returns nil (a valid no-op handle) when
-// the trace is nil.
+// StartRoot opens a parentless span as the first Start of a fresh lane, so
+// spans started on t afterwards do not nest under it. Concurrent workers
+// that want a root of their own (the experiment harness's instance pool, a
+// daemon's per-request span) use it. It returns nil (a valid no-op handle)
+// when the trace is nil.
 func (t *Trace) StartRoot(name string, args ...Arg) *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := len(t.spans)
-	t.spans = append(t.spans, spanRecord{
-		name:     name,
-		parent:   -1,
-		depth:    0,
-		start:    t.clock(),
-		end:      -1,
-		args:     args,
-		detached: true,
-	})
-	return &Span{tr: t, id: id}
+	return (&Trace{store: t.store, open: -1}).Start(name, args...)
 }
 
 // End closes the span, attaching any final annotations (an outcome tag,
-// say). Open descendants that were never ended explicitly are closed at the
-// same instant, so an early return that skips an inner End cannot corrupt
-// the nesting. Ending a span twice is a no-op.
+// say). Open descendants on the same lane that were never ended explicitly
+// are closed at the same instant, so an early return that skips an inner
+// End cannot corrupt the nesting. Ending a span twice is a no-op.
 func (s *Span) End(args ...Arg) {
 	if s == nil {
 		return
@@ -185,14 +192,8 @@ func (s *Span) End(args ...Arg) {
 		return
 	}
 	now := t.clock()
-	if rec.detached {
-		// Detached spans never sit on the open chain; close in place.
-		rec.end = now
-		rec.args = append(rec.args, args...)
-		return
-	}
-	// Close the open chain from the innermost span up to (and including)
-	// this one. The chain walk is bounded by the nesting depth.
+	// Close the lane's open chain from the innermost span up to (and
+	// including) this one. The chain walk is bounded by the nesting depth.
 	for cur := t.open; cur >= 0; cur = t.spans[cur].parent {
 		if t.spans[cur].end < 0 {
 			t.spans[cur].end = now
@@ -203,8 +204,8 @@ func (s *Span) End(args ...Arg) {
 		}
 	}
 	if rec.end < 0 {
-		// The span was not on the open chain (its parent ended first and
-		// swept the stack past it); close it in place.
+		// The span was not on its lane's open chain (two goroutines shared
+		// one lane); close it in place.
 		rec.end = now
 	}
 	rec.args = append(rec.args, args...)
@@ -333,8 +334,8 @@ func (t *Trace) Snapshot() Snapshot {
 // reflect.DeepEqual:
 //
 //   - spans are dropped entirely (their timestamps are wall-clock, and a
-//     parallel search records its detached iteration spans in goroutine
-//     arrival order);
+//     parallel search records its workers' lanes in goroutine arrival
+//     order);
 //   - the snapshot instant and every event timestamp are zeroed, keeping
 //     event order, names, sequence numbers and args;
 //   - histograms whose name ends in "_us" — the naming convention for

@@ -9,7 +9,7 @@ import (
 
 // raceWorkload drives one trace the way a parallel solver does: N workers
 // concurrently recording commutative instruments (counters, gauges,
-// histograms, detached root spans) with per-worker deterministic values,
+// histograms, root spans on lanes of their own) with per-worker deterministic values,
 // then — after the join, exactly like the PA-R merge — a single goroutine
 // emitting the flight-recorder events in a fixed order.
 func raceWorkload(workers, perWorker int) *Trace {
@@ -94,5 +94,56 @@ func TestConcurrentEventsCountAll(t *testing.T) {
 			t.Fatalf("ring not in seq order at %d: %d then %d",
 				i, snap.Events[i-1].Seq, snap.Events[i].Seq)
 		}
+	}
+}
+
+// TestLanesDoNotCrossNest runs nested Start/End pairs from concurrent
+// goroutines, each on its own Lane forked under one shared parent span:
+// every child must land under its own goroutine's span, and the shared
+// parent must stay open until its owner ends it.
+func TestLanesDoNotCrossNest(t *testing.T) {
+	tr := New()
+	run := tr.Start("run")
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lane := tr.Lane()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				outer := lane.Start("outer", Int("worker", int64(w)))
+				inner := lane.Start("inner", Int("worker", int64(w)))
+				inner.End()
+				outer.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	after := tr.Start("after")
+	after.End()
+	run.End()
+
+	snap := tr.Snapshot()
+	worker := func(sp SpanInfo) any { return sp.Args[0].Val }
+	for i, sp := range snap.Spans {
+		switch sp.Name {
+		case "outer", "after":
+			if sp.Parent != 0 {
+				t.Fatalf("span %d %s: parent %d, want the run span", i, sp.Name, sp.Parent)
+			}
+		case "inner":
+			p := snap.Spans[sp.Parent]
+			if p.Name != "outer" || worker(p) != worker(sp) {
+				t.Fatalf("span %d inner of worker %v nested under %s of worker %v",
+					i, worker(sp), p.Name, worker(p))
+			}
+			if sp.Start < p.Start || sp.End > p.End {
+				t.Fatalf("span %d escapes its parent", i)
+			}
+		}
+	}
+	if root := snap.Spans[0]; root.End < snap.Spans[len(snap.Spans)-1].End {
+		t.Errorf("run span closed at %v before its last child ended", root.End)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"resched/internal/arch"
 	"resched/internal/benchgen"
 	"resched/internal/budget"
+	"resched/internal/obs"
 	"resched/internal/schedule"
 )
 
@@ -50,28 +52,120 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelHistoryMonotone asserts the merged improvement history is
-// sorted: Elapsed must be monotone non-decreasing after the per-worker
-// histories are interleaved (the satellite contract RandomStats.History
-// documents).
+// TestParallelHistoryMonotone pins the History contract at every worker
+// count, cold and warm-started: History is the search's global-best anytime
+// curve (Fig. 6), so Elapsed never decreases, Makespan strictly decreases
+// and stays below the warm-start incumbent, and the last entry is the
+// returned schedule's makespan whenever the search improved at all.
 func TestParallelHistoryMonotone(t *testing.T) {
-	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 99})
 	a := arch.ZedBoard()
-	_, stats, err := RSchedule(g, a, RandomOptions{MaxIterations: 40, Seed: 3, Workers: 4})
+	// Graph 7 is one where warm-started searches still improve at W > 1.
+	for _, graphSeed := range []int64{99, 7} {
+		g := genGraph(t, benchgen.Config{Tasks: 40, Seed: graphSeed})
+		// The deterministic first iteration alone gives a floorplanned
+		// schedule the later random iterations can still beat.
+		warm, _, err := RSchedule(g, a, RandomOptions{MaxIterations: 1, Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			for _, incumbent := range []*schedule.Schedule{nil, warm} {
+				name := fmt.Sprintf("graph=%d/workers=%d/warm=%t", graphSeed, workers, incumbent != nil)
+				t.Run(name, func(t *testing.T) {
+					sch, stats, err := RSchedule(g, a, RandomOptions{
+						MaxIterations: 40, Seed: 3, Workers: workers, InitialIncumbent: incumbent,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := stats.History
+					if incumbent == nil && len(h) == 0 {
+						t.Fatal("no improvements recorded on a cold search")
+					}
+					for i, p := range h {
+						if incumbent != nil && p.Makespan >= incumbent.Makespan {
+							t.Errorf("history[%d] makespan %d does not beat the incumbent %d", i, p.Makespan, incumbent.Makespan)
+						}
+						if i == 0 {
+							continue
+						}
+						if p.Elapsed < h[i-1].Elapsed {
+							t.Errorf("history Elapsed not monotone at %d: %v < %v", i, p.Elapsed, h[i-1].Elapsed)
+						}
+						if p.Makespan >= h[i-1].Makespan {
+							t.Errorf("history makespan not strictly decreasing at %d: %d after %d", i, p.Makespan, h[i-1].Makespan)
+						}
+					}
+					if len(h) == 0 {
+						if sch != incumbent {
+							t.Error("no improvement, yet the warm-start incumbent was not returned")
+						}
+					} else if last := h[len(h)-1].Makespan; last != sch.Makespan {
+						t.Errorf("history ends at %d, returned schedule has makespan %d", last, sch.Makespan)
+					}
+					if stats.CapacityFactor > 1.0 || stats.CapacityFactor < capFloor*capShrink {
+						t.Errorf("capacity factor %v outside [%v, 1]", stats.CapacityFactor, capFloor*capShrink)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestParallelTraceLanes records a W = 4 search and checks its span tree:
+// every iteration sits directly under par.run and every floorplan query
+// directly under the iteration that issued it, inside its time range — no
+// worker's span nests under another worker's.
+func TestParallelTraceLanes(t *testing.T) {
+	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 99})
+	tr := obs.New()
+	_, stats, err := RSchedule(g, arch.ZedBoard(), RandomOptions{MaxIterations: 40, Seed: 3, Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.History) == 0 {
-		t.Fatal("no improvements recorded")
+	snap := tr.Snapshot()
+	arg := func(sp obs.SpanInfo, key string) any {
+		for _, a := range sp.Args {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+		return nil
 	}
-	for i := 1; i < len(stats.History); i++ {
-		if stats.History[i].Elapsed < stats.History[i-1].Elapsed {
-			t.Fatalf("history Elapsed not monotone at %d: %v < %v",
-				i, stats.History[i].Elapsed, stats.History[i-1].Elapsed)
+	var iterations, queries int
+	for i, sp := range snap.Spans {
+		if sp.Parent < 0 {
+			if sp.Name != "par.run" {
+				t.Errorf("span %d %s is a root; only par.run may be", i, sp.Name)
+			}
+			continue
+		}
+		parent := snap.Spans[sp.Parent]
+		switch sp.Name {
+		case "par.iteration":
+			iterations++
+			if parent.Name != "par.run" {
+				t.Errorf("span %d: iteration %v nested under %s", i, arg(sp, "iteration"), parent.Name)
+			}
+		case "floorplan.solve":
+			queries++
+			if parent.Name != "par.iteration" {
+				t.Errorf("span %d: floorplan query nested under %s", i, parent.Name)
+				continue
+			}
+			if out := arg(parent, "outcome"); out != "improved" && out != "infeasible" {
+				t.Errorf("span %d: floorplan query under iteration %v with outcome %v",
+					i, arg(parent, "iteration"), out)
+			}
+		}
+		if sp.Start < parent.Start || sp.End > parent.End {
+			t.Errorf("span %d %s [%v,%v] escapes its parent %s [%v,%v]",
+				i, sp.Name, sp.Start, sp.End, parent.Name, parent.Start, parent.End)
 		}
 	}
-	if stats.CapacityFactor > 1.0 || stats.CapacityFactor < capFloor*capShrink {
-		t.Errorf("capacity factor %v outside [%v, 1]", stats.CapacityFactor, capFloor*capShrink)
+	if iterations != stats.Iterations || queries != stats.FloorplanCalls {
+		t.Errorf("recorded %d iterations and %d floorplan queries, search reports %d and %d",
+			iterations, queries, stats.Iterations, stats.FloorplanCalls)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"resched/internal/arch"
@@ -36,13 +39,13 @@ type RandomOptions struct {
 	Faults *faultinject.Set
 	// Seed initialises the random generator; runs are reproducible.
 	Seed int64
-	// Workers sets the number of search goroutines. 0 defaults to
-	// runtime.GOMAXPROCS(0); 1 runs the historical sequential search
-	// unchanged (byte-identical schedules and RNG stream). With W > 1 the
-	// global iteration sequence 0,1,2,… is strided across workers (worker w
-	// owns iterations w, w+W, w+2W, …), each worker draws from its own
-	// seeded generator, and the incumbents are reduced under a total order
-	// — so the result is a pure function of (Seed, Workers, MaxIterations),
+	// Workers sets the number of search workers W. 0 defaults to
+	// runtime.GOMAXPROCS(0). The global iteration sequence 0,1,2,… is
+	// strided across the workers (worker w owns iterations w, w+W, w+2W,
+	// …); worker 0 runs on the calling goroutine, each other worker on its
+	// own. Every worker draws from its own seeded generator (Seed itself
+	// when W = 1) and the incumbents are reduced under a total order, so
+	// the result is a pure function of (Seed, Workers, MaxIterations),
 	// independent of goroutine interleaving.
 	Workers int
 	// ModuleReuse is forwarded to the inner scheduler.
@@ -50,11 +53,12 @@ type RandomOptions struct {
 	// Floorplan configures the feasibility queries on improving solutions.
 	Floorplan floorplan.Options
 	// Trace, when non-nil, records the search span, one span per iteration
-	// tagged with its outcome (improved / not-improving / infeasible) and
-	// the search counters (package obs). Iteration spans stay at iteration
-	// granularity — the inner pipeline phases are not traced, so the
-	// overhead per iteration is two clock readings. A nil trace is a no-op
-	// and recording never perturbs the seeded search.
+	// tagged with its outcome (improved / not-improving / infeasible) on
+	// its worker's own lane under the search span, and the search counters
+	// (package obs). Iteration spans stay at iteration granularity — the
+	// inner pipeline phases are not traced, so the overhead per iteration
+	// is two clock readings. A nil trace is a no-op and recording never
+	// perturbs the seeded search.
 	Trace *obs.Trace
 
 	// Initial, when non-nil and non-empty, is the warm platform state every
@@ -84,7 +88,7 @@ func usableIncumbent(inc *schedule.Schedule, g *taskgraph.Graph) bool {
 }
 
 // Virtual-capacity shrinking on floorplan-infeasible candidates: each
-// discard multiplies the (worker-local) accounting capacity factor by
+// discard multiplies the worker-local accounting capacity factor by
 // capShrink, never below capFloor.
 const capShrink, capFloor = 0.92, 0.40
 
@@ -111,16 +115,16 @@ type RandomStats struct {
 	// CapacityFactor is the final virtual-capacity scaling: PA-R shrinks
 	// its accounting capacity whenever a candidate is discarded as
 	// unplaceable, steering later iterations toward floorplannable region
-	// sets (the randomized counterpart of §V-H's restart-and-shrink). In a
-	// parallel search each worker shrinks its own factor (decisions stay
-	// worker-local so the search is interleaving-independent); this field
-	// reports the minimum across workers, maintained as a shared
-	// monotonically non-increasing value.
+	// sets (the randomized counterpart of §V-H's restart-and-shrink). Each
+	// worker shrinks its own factor, so decisions stay worker-local; this
+	// field reports the smallest final factor across workers.
 	CapacityFactor float64
-	// History records every accepted improvement. After a parallel search
-	// the per-worker histories are merged and sorted, so Elapsed is always
-	// monotone non-decreasing across the slice; Makespan is strictly
-	// decreasing per worker but only the final entry is the global best.
+	// History is the search's global-best anytime curve (Fig. 6): the
+	// improvements accepted by any worker, ordered by (Elapsed, Iteration),
+	// keeping only those strictly below every earlier one and below the
+	// warm-start incumbent. Elapsed is non-decreasing, Makespan strictly
+	// decreasing, and a non-empty History ends at the returned schedule's
+	// makespan.
 	History []ImprovementPoint
 	// Elapsed is the total search time.
 	Elapsed time.Duration
@@ -131,11 +135,25 @@ type RandomStats struct {
 	FloorplanTime  time.Duration
 }
 
-// RSchedule runs the randomized scheduler variant: the core heuristic is
-// re-executed with random non-critical task orderings until the budget
-// expires; an improving schedule is kept only if the floorplanner accepts
-// its regions, and infeasible candidates are simply discarded (no virtual
-// resource shrinking, unlike the deterministic variant).
+// RSchedule runs the randomized scheduler variant (Algorithm 1): the core
+// heuristic is re-executed with random non-critical task orderings until
+// the budget expires, and an improving schedule is kept only if the
+// floorplanner accepts its regions. Each infeasible candidate shrinks the
+// worker's virtual accounting capacity by capShrink (never below
+// capFloor), steering later iterations toward placeable region sets.
+//
+// The search is one strided engine at every worker count W: worker w owns
+// global iterations w, w+W, w+2W, … and runs runWorker on them. Worker 0
+// runs on the calling goroutine, so W = 1 starts no goroutine; workers
+// 1…W-1 run on goroutines of their own. Global iteration 0 uses the
+// deterministic efficiency ordering (Rand == nil); every other iteration
+// draws from its owner's generator, seeded with Seed when W = 1 and with
+// mixSeed(Seed, w) otherwise. Everything that steers a worker — generator,
+// incumbent, capacity factor, scratch arena, floorplan planner — is its
+// own, so each worker's result is a pure function of (Seed, Workers,
+// MaxIterations, InitialIncumbent). The reduction picks the final schedule
+// under the total order (makespan, worker, global iteration), so the
+// returned schedule is independent of goroutine interleaving.
 func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*schedule.Schedule, *RandomStats, error) {
 	if opts.TimeBudget <= 0 && opts.MaxIterations <= 0 && opts.Budget == nil {
 		return nil, nil, fmt.Errorf("sched: PA-R needs a time budget, an iteration cap or a budget")
@@ -150,7 +168,6 @@ func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*s
 	if err != nil {
 		return nil, nil, fmt.Errorf("sched: PA-R floorplans improving schedules: %w", err)
 	}
-
 	workers := opts.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -161,152 +178,287 @@ func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*s
 
 	run := opts.Trace.Start("par.run", obs.Int("seed", opts.Seed), obs.Int("workers", int64(workers)))
 	defer run.End()
-	if opts.Floorplan.Trace == nil {
-		opts.Floorplan.Trace = opts.Trace
-	}
-	if workers > 1 {
-		return rscheduleParallel(g, a, fabric, opts, workers)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	start := time.Now()
 	// The per-call TimeBudget nests inside the caller's overall budget: the
 	// node cap is shared, the parent's cancellation is observed and the
-	// deadline tightens. Retiring the child on return keeps the caller's
-	// budget untouched (Cancel flows downward only) while making sure no
-	// code reached after this call can still charge against the expired
-	// TimeBudget window.
+	// deadline tightens, so exhaustion seen by one worker is seen by all.
+	// Retiring the child on return leaves the caller's budget untouched
+	// (Cancel flows downward only) and stops anything reached after this
+	// call from charging against the expired TimeBudget window.
 	bud := opts.Budget.WithTimeout(opts.TimeBudget)
 	defer bud.Cancel()
-	stats := &RandomStats{}
-	var best *schedule.Schedule
+	e := &engine{g: g, a: a, fabric: fabric, opts: opts, bud: bud, workers: workers, start: start}
+	// A warm-start incumbent is a fixed input: every worker starts with its
+	// makespan as the improvement bar. It enters no History record (this
+	// search did not find it) and is returned as-is when nothing beats it.
+	var incumbent *schedule.Schedule
 	if usableIncumbent(opts.InitialIncumbent, g) {
-		// Warm start: the cached schedule is the incumbent from iteration 0.
-		// It enters no History record (it is not an improvement this search
-		// found) and, if nothing beats it, is returned as-is.
-		best = opts.InitialIncumbent
+		incumbent, e.bar = opts.InitialIncumbent, opts.InitialIncumbent.Makespan
 		opts.Trace.Count("par.incumbent_seeded", 1)
 	}
+	results := make([]workerResult, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w] = e.runWorker(w)
+		}(w)
+	}
+	results[0] = e.runWorker(0)
+	wg.Wait()
 
+	best, stats, err := reduce(results, e.bar)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.Elapsed = time.Since(start)
+	if opts.Trace.Enabled() {
+		// Improvement events are emitted here, in global-iteration order,
+		// rather than by the workers in goroutine arrival order: the flight
+		// recorder stays a pure function of (Seed, Workers, MaxIterations).
+		var improved []ImprovementPoint
+		for w := range results {
+			improved = append(improved, results[w].stats.History...)
+		}
+		sort.SliceStable(improved, func(i, j int) bool { return improved[i].Iteration < improved[j].Iteration })
+		for _, p := range improved {
+			opts.Trace.Event("par.improved",
+				obs.Int("iteration", int64(p.Iteration)), obs.Int("makespan", p.Makespan))
+		}
+	}
+	opts.Trace.Count("par.iterations", int64(stats.Iterations))
+	opts.Trace.Count("par.floorplan_calls", int64(stats.FloorplanCalls))
+	opts.Trace.SetGauge("par.capacity_factor", stats.CapacityFactor)
+	if best != nil {
+		return best, stats, nil
+	}
+	if incumbent != nil {
+		return incumbent, stats, nil
+	}
+	// Fall back to the deterministic scheduler (with shrinking) so a
+	// TimeBudget too small to find a feasible randomized solution still
+	// yields an answer. The caller's overall budget (not the expired
+	// TimeBudget child) governs the fallback: a cancel or overall deadline
+	// fails it with a typed budget error.
+	sch, _, err := Schedule(g, a, Options{
+		ModuleReuse: opts.ModuleReuse, Floorplan: opts.Floorplan,
+		Initial: opts.Initial,
+		Budget:  opts.Budget, Faults: opts.Faults, Trace: opts.Trace,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("sched: PA-R found no feasible schedule: %w", err)
+	}
+	sch.Algorithm = "PA-R"
+	return sch, stats, nil
+}
+
+// mixSeed derives worker w's private generator seed from the search seed
+// with a SplitMix64 finalising round, so the per-worker streams are
+// decorrelated even for adjacent seeds or worker indices. Worker streams are
+// a documented part of the output contract: schedules for a fixed
+// (Seed, Workers, MaxIterations) with Workers > 1 depend on these exact
+// values.
+func mixSeed(seed int64, w int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(w+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z)
+}
+
+// engine holds the inputs every worker of one PA-R search shares. Only
+// stop is written while the workers run.
+type engine struct {
+	g       *taskgraph.Graph
+	a       *arch.Architecture
+	fabric  *arch.Fabric
+	opts    RandomOptions
+	bud     *budget.Budget
+	workers int
+	bar     int64 // warm-start incumbent makespan, 0 for none
+	start   time.Time
+	// stop propagates a hard error: the failing worker raises it and the
+	// others exit at their next iteration boundary.
+	stop atomic.Bool
+}
+
+// workerResult is one worker's contribution to the reduction. Its stats
+// carry the worker's own counters, times, final capacity factor and
+// improvement points.
+type workerResult struct {
+	best  *schedule.Schedule
+	stats RandomStats
+	err   error
+}
+
+// runWorker executes worker w's share of the global iteration sequence.
+func (e *engine) runWorker(w int) workerResult {
+	opts := e.opts
+	// The worker records on its own lane forked under par.run (no recorder
+	// moves the caller's cursor until every worker has joined), so its
+	// iteration and floorplan spans never nest under another worker's.
+	tr := opts.Trace.Lane()
+	res := workerResult{stats: RandomStats{CapacityFactor: 1.0}}
+	seed := opts.Seed
+	if e.workers > 1 {
+		seed = mixSeed(opts.Seed, w)
+	}
 	inner := Options{
 		ModuleReuse:   opts.ModuleReuse,
 		SkipFloorplan: true,
-		Rand:          rng,
-		Budget:        bud,
+		Rand:          rand.New(rand.NewSource(seed)),
+		Budget:        e.bud,
 		Initial:       opts.Initial,
 		scratch:       &state{},
 	}
-	capFactor := 1.0
-	planner := floorplan.NewPlanner(fabric)
-	for {
-		if opts.MaxIterations > 0 && stats.Iterations >= opts.MaxIterations {
+	fpOpts := opts.Floorplan
+	if fpOpts.Trace == nil {
+		fpOpts.Trace = tr
+	}
+	if fpOpts.Budget == nil {
+		fpOpts.Budget = e.bud
+	}
+	if fpOpts.Faults == nil {
+		fpOpts.Faults = opts.Faults
+	}
+	if fpOpts.MaxNodes == 0 {
+		// Bound each feasibility query so a hard instance cannot eat the
+		// whole search budget; an unproven verdict just shrinks the
+		// virtual capacity and moves on.
+		fpOpts.MaxNodes = 20000
+	}
+	planner := floorplan.NewPlanner(e.fabric)
+	for giter := w; opts.MaxIterations <= 0 || giter < opts.MaxIterations; giter += e.workers {
+		if e.stop.Load() || e.bud.Check() != nil {
 			break
 		}
-		if bud.Check() != nil {
-			break
-		}
-		maxRes := a.MaxRes
+		maxRes := e.a.MaxRes
 		for k := range maxRes {
-			maxRes[k] = int(float64(maxRes[k]) * capFactor)
+			maxRes[k] = int(float64(maxRes[k]) * res.stats.CapacityFactor)
 		}
 		// The very first run uses the deterministic efficiency ordering —
 		// the random search then only has to beat PA's own solution; every
 		// later run draws a random non-critical order (Algorithm 1).
 		runOpts := inner
-		if stats.Iterations == 0 {
+		if giter == 0 {
 			runOpts.Rand = nil
 		}
-		it := opts.Trace.Start("par.iteration",
-			obs.Int("iteration", int64(stats.Iterations)), obs.Int("worker", 0))
-		// Run at least one iteration even with a tiny budget.
+		it := tr.Start("par.iteration", obs.Int("iteration", int64(giter)), obs.Int("worker", int64(w)))
 		innerBegin := time.Now()
-		sch, regionRes, err := runPipeline(g, a, maxRes, runOpts)
+		sch, regionRes, err := runPipeline(e.g, e.a, maxRes, runOpts)
 		innerElapsed := time.Since(innerBegin)
-		stats.SchedulingTime += innerElapsed
-		opts.Trace.Observe("par.iteration_us", float64(innerElapsed.Nanoseconds())/1e3)
+		res.stats.SchedulingTime += innerElapsed
+		tr.Observe("par.iteration_us", float64(innerElapsed.Nanoseconds())/1e3)
 		if err != nil {
 			if errors.Is(err, budget.ErrExhausted) {
-				// The budget ran dry mid-pipeline: stop searching and fall
-				// through to return the incumbent (or the fallback below).
+				// The budget ran dry mid-pipeline: stop searching; the
+				// reduction returns the incumbent (or the fallback runs).
 				it.End(obs.Str("outcome", "budget"))
 				break
 			}
 			it.End(obs.Str("outcome", "error"))
-			return nil, nil, err
+			res.err = err
+			e.stop.Store(true)
+			break
 		}
-		stats.Iterations++
-		if best != nil && sch.Makespan >= best.Makespan {
+		res.stats.Iterations++
+		// The improvement bar is the worker's own best when it has one,
+		// else the warm-start incumbent's makespan (0 means neither).
+		limit := e.bar
+		if res.best != nil {
+			limit = res.best.Makespan
+		}
+		if limit > 0 && sch.Makespan >= limit {
 			it.End(obs.Str("outcome", "not-improving"))
 			continue
 		}
 		// Improving schedule: validate the floorplan before accepting.
-		stats.FloorplanCalls++
-		fpOpts := opts.Floorplan
-		if fpOpts.Budget == nil {
-			fpOpts.Budget = bud
-		}
-		if fpOpts.Faults == nil {
-			fpOpts.Faults = opts.Faults
-		}
-		if fpOpts.MaxNodes == 0 {
-			// Bound each feasibility query so a hard instance cannot eat
-			// the whole search budget; an unproven verdict just shrinks the
-			// virtual capacity and moves on.
-			fpOpts.MaxNodes = 20000
-		}
+		res.stats.FloorplanCalls++
 		fpBegin := time.Now()
-		res, err := planner.Solve(regionRes, fpOpts)
-		stats.FloorplanTime += time.Since(fpBegin)
+		fp, err := planner.Solve(regionRes, fpOpts)
+		res.stats.FloorplanTime += time.Since(fpBegin)
 		if err != nil {
 			it.End(obs.Str("outcome", "error"))
-			return nil, nil, err
+			res.err = err
+			e.stop.Store(true)
+			break
 		}
-		if !res.Feasible {
-			stats.Discarded++
-			opts.Trace.Count("par.discarded", 1)
-			if capFactor > capFloor {
-				capFactor *= capShrink
+		if !fp.Feasible {
+			res.stats.Discarded++
+			tr.Count("par.discarded", 1)
+			if res.stats.CapacityFactor > capFloor {
+				res.stats.CapacityFactor *= capShrink
 			}
 			it.End(obs.Str("outcome", "infeasible"))
 			continue
 		}
 		sch.Algorithm = "PA-R"
-		best = sch
-		opts.Trace.Count("par.improvements", 1)
-		// A sequential search may record the incumbent improvement inline:
-		// iteration order is the event order, so the flight recorder stays
-		// deterministic (the parallel search defers this to the merge).
-		opts.Trace.Event("par.improved",
-			obs.Int("iteration", int64(stats.Iterations)), obs.Int("makespan", sch.Makespan))
-		stats.History = append(stats.History, ImprovementPoint{
-			Elapsed:   time.Since(start),
-			Iteration: stats.Iterations,
+		res.best = sch
+		tr.Count("par.improvements", 1)
+		res.stats.History = append(res.stats.History, ImprovementPoint{
+			Elapsed:   time.Since(e.start),
+			Iteration: giter + 1,
 			Makespan:  sch.Makespan,
 		})
 		it.End(obs.Str("outcome", "improved"), obs.Int("makespan", sch.Makespan))
 	}
-	stats.Elapsed = time.Since(start)
-	stats.CapacityFactor = capFactor
-	opts.Trace.Count("par.iterations", int64(stats.Iterations))
-	opts.Trace.Count("par.floorplan_calls", int64(stats.FloorplanCalls))
-	opts.Trace.SetGauge("par.capacity_factor", capFactor)
-	if best == nil {
-		// Fall back to the deterministic scheduler (with shrinking) so a
-		// TimeBudget too small to find a feasible randomized solution still
-		// yields an answer. The caller's overall budget (not the expired
-		// TimeBudget child) governs the fallback: a cancel or overall
-		// deadline fails it with a typed budget error.
-		sch, _, err := Schedule(g, a, Options{
-			ModuleReuse: opts.ModuleReuse, Floorplan: opts.Floorplan,
-			Initial: opts.Initial,
-			Budget:  opts.Budget, Faults: opts.Faults, Trace: opts.Trace,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("sched: PA-R found no feasible schedule: %w", err)
+	return res
+}
+
+// reduce folds the worker results into the search result: the best
+// schedule under the total order (makespan, worker, global iteration), the
+// summed counters and times, the smallest final capacity factor and the
+// global-best History. bar is the warm-start incumbent's makespan (0 for
+// none). The first worker error, in worker order, fails the search.
+func reduce(results []workerResult, bar int64) (*schedule.Schedule, *RandomStats, error) {
+	stats := &RandomStats{CapacityFactor: 1.0}
+	var best *schedule.Schedule
+	var points []ImprovementPoint
+	for w := range results {
+		r := &results[w]
+		if r.err != nil {
+			return nil, nil, r.err
 		}
-		sch.Algorithm = "PA-R"
-		return sch, stats, nil
+		stats.Iterations += r.stats.Iterations
+		stats.FloorplanCalls += r.stats.FloorplanCalls
+		stats.Discarded += r.stats.Discarded
+		stats.SchedulingTime += r.stats.SchedulingTime
+		stats.FloorplanTime += r.stats.FloorplanTime
+		stats.CapacityFactor = min(stats.CapacityFactor, r.stats.CapacityFactor)
+		points = append(points, r.stats.History...)
+		// A worker's best is its only schedule at that makespan (its own
+		// improvements strictly decrease), and workers are visited in
+		// index order, so a strict comparison breaks ties toward the lower
+		// worker and then the earlier iteration.
+		if r.best != nil && (best == nil || r.best.Makespan < best.Makespan) {
+			best = r.best
+		}
 	}
+	stats.History = globalBest(points, bar)
 	return best, stats, nil
+}
+
+// globalBest turns the workers' improvement points into the search's
+// anytime curve (Fig. 6): ordered by (Elapsed, Iteration), keeping only
+// points strictly below every earlier kept point and below the warm-start
+// bar (0 for none). One worker's points are already such a curve, so with
+// W = 1 this is the identity.
+func globalBest(points []ImprovementPoint, bar int64) []ImprovementPoint {
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].Elapsed != points[j].Elapsed {
+			return points[i].Elapsed < points[j].Elapsed
+		}
+		return points[i].Iteration < points[j].Iteration
+	})
+	kept := points[:0]
+	for _, p := range points {
+		if (bar > 0 && p.Makespan >= bar) || (len(kept) > 0 && p.Makespan >= kept[len(kept)-1].Makespan) {
+			continue
+		}
+		kept = append(kept, p)
+	}
+	return kept
 }
 
 // regionRequirements extracts the region resource vectors of a schedule,

@@ -12,10 +12,8 @@ import (
 func TestRScheduleValid(t *testing.T) {
 	g := genGraph(t, benchgen.Config{Tasks: 30, Seed: 4})
 	a := arch.ZedBoard()
-	// Workers: 1 pins the sequential search — the assertions below (strictly
-	// improving history whose last entry is the returned schedule) are
-	// sequential-only contracts; a merged parallel history interleaves
-	// per-worker subsequences.
+	// Workers: 1 pins the single-worker search; TestParallelHistoryMonotone
+	// asserts the same History contract at larger worker counts.
 	sch, stats, err := RSchedule(g, a, RandomOptions{MaxIterations: 20, Seed: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

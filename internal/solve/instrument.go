@@ -9,11 +9,12 @@ import (
 )
 
 // instrumented decorates a registered solver with the uniform observability
-// every frontend gets for free: a detached root span and a request-latency
-// histogram per solve, request/error counters, the ladder-rung counter for
-// the robust solver, and a budget-exhaustion flight-recorder event. The
-// decorator is applied once, at Register time, so per-solver wiring cannot
-// drift — any solver reachable through Get/List is instrumented.
+// every frontend gets for free: a span on a trace lane of its own and a
+// request-latency histogram per solve, request/error counters, the
+// ladder-rung counter for the robust solver, and a budget-exhaustion
+// flight-recorder event. The decorator is applied once, at Register time,
+// so per-solver wiring cannot drift — any solver reachable through
+// Get/List is instrumented.
 //
 // All recording goes through the request's Trace: with a nil Trace the
 // decorator is a single branch and the wrapped solver runs untouched, and
@@ -47,20 +48,22 @@ func instrument(s Solver) Solver {
 // Name forwards the registry name of the wrapped solver.
 func (w instrumented) Name() string { return w.inner.Name() }
 
-// Solve runs the wrapped solver and records the uniform metrics. The span
-// is a detached root (StartRoot) so concurrent Solve calls sharing one
-// trace — the experiments harness's instance pool — cannot corrupt the
-// sequential nesting stack of the solver's own spans.
+// Solve runs the wrapped solver and records the uniform metrics. The solve
+// records on its own lane of the request's trace, nested under the caller's
+// open span, so concurrent Solve calls sharing one trace (a daemon's solver
+// workers) keep each solver's spans under its own solve span.
 func (w instrumented) Solve(req *Request) (*Result, error) {
-	tr := req.Trace
-	if tr == nil {
+	if req.Trace == nil {
 		return w.inner.Solve(req)
 	}
+	tr := req.Trace.Lane()
+	laned := *req
+	laned.Trace = tr
 	name := w.inner.Name()
 	prefix := "solve." + name
-	sp := tr.StartRoot(prefix)
+	sp := tr.Start(prefix)
 	begin := time.Now()
-	res, err := w.inner.Solve(req)
+	res, err := w.inner.Solve(&laned)
 	elapsed := time.Since(begin)
 	tr.Observe(prefix+".latency_us", float64(elapsed.Nanoseconds())/1e3)
 	tr.Count(prefix+".requests", 1)

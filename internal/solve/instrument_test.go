@@ -3,6 +3,7 @@ package solve
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"resched/internal/arch"
@@ -58,6 +59,70 @@ func TestRegistryAutoInstrumentation(t *testing.T) {
 		if !found {
 			t.Errorf("%s: no solve.%s span recorded", name, name)
 		}
+	}
+}
+
+// TestConcurrentSolvesDoNotCrossNest runs PA solves from two goroutines on
+// one shared trace, as a daemon's solver workers do: every pa.run must sit
+// directly under its own solve.pa span, no span may have two pa.run
+// ancestors, and every span must lie inside its parent's time range.
+func TestConcurrentSolvesDoNotCrossNest(t *testing.T) {
+	a := arch.ZedBoard()
+	s, err := Get("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	const solvers, perSolver = 2, 10
+	errs := make(chan error, solvers*perSolver)
+	var wg sync.WaitGroup
+	for w := 0; w < solvers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perSolver; i++ {
+				g, err := benchgen.Generate(benchgen.Config{Tasks: 20, Seed: int64(100*w + i)})
+				if err == nil {
+					_, err = s.Solve(&Request{Graph: g, Arch: a, Options: Options{Trace: tr}})
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	snap := tr.Snapshot()
+	runs := 0
+	for i, sp := range snap.Spans {
+		if sp.Name == "pa.run" {
+			runs++
+			if sp.Parent < 0 || snap.Spans[sp.Parent].Name != "solve.pa" {
+				t.Errorf("span %d: pa.run is not directly under a solve.pa span", i)
+			}
+		}
+		nested := 0
+		for p := sp.Parent; p >= 0; p = snap.Spans[p].Parent {
+			if snap.Spans[p].Name == "pa.run" {
+				nested++
+			}
+		}
+		if nested > 1 {
+			t.Errorf("span %d %s has %d pa.run ancestors", i, sp.Name, nested)
+		}
+		if sp.Parent >= 0 {
+			if p := snap.Spans[sp.Parent]; sp.Start < p.Start || sp.End > p.End {
+				t.Errorf("span %d %s [%v,%v] escapes its parent %s [%v,%v]",
+					i, sp.Name, sp.Start, sp.End, p.Name, p.Start, p.End)
+			}
+		}
+	}
+	if runs != solvers*perSolver {
+		t.Errorf("recorded %d pa.run spans, want %d", runs, solvers*perSolver)
 	}
 }
 

@@ -56,8 +56,8 @@ type Options struct {
 	// Seed drives the seeded randomization of PA-R (and the robust
 	// ladder's PA-R rung). Deterministic solvers ignore it.
 	Seed int64
-	// Workers sets PA-R's search parallelism (0 = GOMAXPROCS,
-	// 1 = sequential). Other solvers ignore it.
+	// Workers sets PA-R's search parallelism (0 = GOMAXPROCS, 1 = one
+	// worker on the calling goroutine). Other solvers ignore it.
 	Workers int
 	// TimeBudget is PA-R's wall-clock search budget (timeToRun of
 	// Algorithm 1) and the robust ladder's PA-R rung budget.

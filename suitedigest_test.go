@@ -85,3 +85,53 @@ func TestSuiteGoldenDigest(t *testing.T) {
 		})
 	}
 }
+
+// suiteParallelDigests pins the strided PA-R engine at W > 1 the same way:
+// schedules, floorplans, the final capacity factor and the
+// Iterations/FloorplanCalls/Discarded counters on the same graphs.
+// Improvements is left out: at W > 1 it is the length of the global-best
+// History, which merges the workers' improvements in wall-clock order.
+var suiteParallelDigests = map[int]string{
+	2: "50d3b2f787b2788264a337cfe9c861712d7a3013ab0617db916ea392738af1e5",
+	4: "a48890263dd57aace338626b91753b60185e26cf9b436a862f15a4d0b93ba4d2",
+}
+
+func TestSuiteGoldenDigestParallel(t *testing.T) {
+	if raceDetector {
+		t.Skip("digest covered by the plain test run; -race multiplies the runtime")
+	}
+	suite, err := benchgen.Suite(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.ZedBoard()
+	solver, err := solve.Get("par")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := solve.Options{MaxIterations: 25, Workers: workers, Seed: 1}
+			h := sha256.New()
+			for _, e := range suite {
+				if e.Index >= suiteDigestPerGroup {
+					continue
+				}
+				r, err := solver.Solve(&solve.Request{Graph: e.Graph, Arch: a, Options: opts})
+				if err != nil {
+					t.Fatalf("group %d graph %d: %v", e.Group, e.Index, err)
+				}
+				fmt.Fprintf(h, "%d/%d iterations=%d fpcalls=%d discarded=%d capacity=%v placements=%v\n",
+					e.Group, e.Index, r.Iterations, r.Search.FloorplanCalls, r.Search.Discarded,
+					r.Search.CapacityFactor, r.Placements)
+				if err := r.Schedule.WriteJSON(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want := suiteParallelDigests[workers]; got != want {
+				t.Errorf("par workers=%d suite digest = %s, want %s", workers, got, want)
+			}
+		})
+	}
+}
