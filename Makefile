@@ -33,9 +33,11 @@ race:
 # IS-5 on the first suite graphs, plus PA-R at 2 and 4 workers) without
 # the race detector. The race run skips them: -race makes them twenty
 # times slower, and TestParallelDeterminism already races the PA-R
-# workers.
+# workers. It also runs the online engine's issue-at-dispatch digest
+# (the no-prefetch baseline at 1, 2 and 3 controllers).
 digest:
 	$(GO) test -count=1 -run '^TestSuiteGoldenDigest' .
+	$(GO) test -count=1 -run '^TestNoPrefetchGoldenDigest$$' ./internal/online
 
 reschedvet:
 	$(GO) run ./cmd/reschedvet ./...

@@ -20,6 +20,7 @@ func TestNilTraceZeroAllocs(t *testing.T) {
 		"StartEnd":  func() { sp := tr.Start("x"); sp.End() },
 		"StartRoot": func() { sp := tr.StartRoot("x"); sp.End() },
 		"Lane":      func() { sp := tr.Lane().Start("x"); sp.End() },
+		"Root":      func() { sp := tr.Root().Start("x"); sp.End() },
 		"Enabled":   func() { _ = tr.Enabled() },
 		"EnabledGuardedEvent": func() {
 			if tr.Enabled() {

@@ -164,16 +164,23 @@ func (t *Trace) Start(name string, args ...Arg) *Span {
 	return &Span{tr: t, id: id}
 }
 
-// StartRoot opens a parentless span as the first Start of a fresh lane, so
-// spans started on t afterwards do not nest under it. Concurrent workers
-// that want a root of their own (the experiment harness's instance pool, a
-// daemon's per-request span) use it. It returns nil (a valid no-op handle)
-// when the trace is nil.
-func (t *Trace) StartRoot(name string, args ...Arg) *Span {
+// Root returns a fresh lane over t's store with no span open, so its first
+// Start is a root span and what nests under it stays on that lane. A
+// long-lived recorder that owns a whole span tree (a daemon request, an
+// online session) takes one. It returns nil when the trace is nil.
+func (t *Trace) Root() *Trace {
 	if t == nil {
 		return nil
 	}
-	return (&Trace{store: t.store, open: -1}).Start(name, args...)
+	return &Trace{store: t.store, open: -1}
+}
+
+// StartRoot opens a parentless span as the first Start of a fresh lane, so
+// spans started on t afterwards do not nest under it. Concurrent workers
+// that want a root span of their own use it. It returns nil (a valid no-op
+// handle) when the trace is nil.
+func (t *Trace) StartRoot(name string, args ...Arg) *Span {
+	return t.Root().Start(name, args...)
 }
 
 // End closes the span, attaching any final annotations (an outcome tag,

@@ -10,6 +10,7 @@ import (
 	"resched/internal/faultinject"
 	"resched/internal/obs"
 	"resched/internal/schedule"
+	"resched/internal/sim"
 	"resched/internal/solve"
 	"resched/internal/taskgraph"
 )
@@ -33,9 +34,10 @@ type Config struct {
 	MaxIterations int
 	// ModuleReuse enables module-reuse semantics in every epoch plan.
 	ModuleReuse bool
-	// DisablePrefetch retimes every epoch tail so reconfigurations are
+	// DisablePrefetch re-times every epoch tail so reconfigurations are
 	// issued only once the data of the task they load is ready — the
-	// issue-at-dispatch baseline online systems without prefetching run.
+	// issue-at-dispatch baseline online systems without prefetching run
+	// (sim.ExecuteOnDemand).
 	// The default (prefetching on) keeps the solvers' early issue times.
 	DisablePrefetch bool
 	// EpochNodes, when positive, caps each epoch's re-plan at that many
@@ -89,8 +91,8 @@ type EpochStats struct {
 	// still exposed some of it.
 	PrefetchIssued, PrefetchHits, PrefetchMisses int
 	// Stall is the total exposed reconfiguration latency of the tail;
-	// StallHidden is how much of the issue-at-dispatch baseline's exposure
-	// the early issue times hid (baseline minus Stall).
+	// StallHidden is how much latency the early issue times hid: the sum
+	// over loads of max(duration, exposure) on this plan, minus Stall.
 	Stall, StallHidden int64
 	// ReplanTime is the wall-clock cost of the re-plan. It is measurement,
 	// not output: every other field is deterministic for a fixed config,
@@ -298,10 +300,11 @@ func (e *Engine) epoch(T int64, newJobs []Job) error {
 		return fmt.Errorf("online: epoch at %d planned an invalid tail: %v", T, errs[0])
 	}
 	if e.cfg.DisablePrefetch {
-		tail, err = retimeNoPrefetch(tail, ps)
+		ex, err := sim.ExecuteOnDemand(tail, ps)
 		if err != nil {
-			return fmt.Errorf("online: epoch at %d: %w", T, err)
+			return fmt.Errorf("online: epoch at %d: no-prefetch baseline: %w", T, err)
 		}
+		tail = ex.Apply(tail)
 		if errs := schedule.CheckAgainst(ps, tail); len(errs) > 0 {
 			return fmt.Errorf("online: epoch at %d: no-prefetch retime broke the tail: %v", T, errs[0])
 		}

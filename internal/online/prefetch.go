@@ -1,25 +1,21 @@
 package online
 
-import (
-	"fmt"
-	"sort"
-
-	"resched/internal/schedule"
-)
+import "resched/internal/schedule"
 
 // Reconfiguration prefetching (IS-k's idea, ref [8]): the solvers issue a
 // region load as early as the controllers and the region allow, which hides
 // load latency behind unrelated execution. This file measures how much that
-// buys per epoch and, for Config.DisablePrefetch, rewrites a tail to the
-// issue-at-dispatch baseline: no load may be issued before the data of the
-// task it serves is ready.
+// buys per epoch. Config.DisablePrefetch instead re-times each tail with
+// sim.ExecuteOnDemand, the issue-at-dispatch rule: no load may be issued
+// before the data of the task it serves is ready.
 
 // stalls is the per-epoch prefetch accounting of one tail plan.
 type stalls struct {
 	issued, hits, misses int
 	// stall is the exposed load latency: reconfiguration end past the
-	// served task's data-ready instant, summed. baseline is what the
-	// issue-at-dispatch policy would expose for the same decisions.
+	// served task's data-ready instant, summed. baseline is a per-load
+	// estimate on the same plan of what issuing at data-ready would
+	// expose: max(duration, exposure) per load, not a simulated run.
 	stall, baseline int64
 }
 
@@ -73,225 +69,4 @@ func stallStats(tail *schedule.Schedule, ps *schedule.PlatformState) stalls {
 		}
 	}
 	return st
-}
-
-// retimeNoPrefetch rewrites a tail plan to the issue-at-dispatch baseline:
-// every decision (implementations, targets, orders) is kept, but each
-// reconfiguration additionally waits for the data of the task it loads.
-//
-// The baseline timeline is produced by a deterministic event simulation, not
-// a constraint-network fixpoint: a fixed channel-to-load assignment derived
-// from the planned (prefetching) start order can genuinely cycle against the
-// data clamps (the load a channel serves first may depend on data produced
-// behind the load it would serve second). The simulator sidesteps that whole
-// class by granting controllers dynamically — each load takes the earliest
-// free channel at its dispatch instant — so the only ordering it preserves
-// from the plan is the per-processor and per-region occupancy order, which
-// is acyclic with the application graph by construction (the plan passed
-// schedule.Check).
-func retimeNoPrefetch(tail *schedule.Schedule, ps *schedule.PlatformState) (*schedule.Schedule, error) {
-	s := tail.Clone()
-	n := s.Graph.N()
-	nch := s.Arch.ReconfiguratorCount()
-	if nch == 0 && len(s.Reconfs) > 0 {
-		return nil, fmt.Errorf("no-prefetch baseline: %d reconfigurations but no reconfiguration controller", len(s.Reconfs))
-	}
-
-	// One item per task execution and per reconfiguration, threaded into
-	// resource chains: processor items chain in planned processor order,
-	// region items chain in planned region order with each reconfiguration
-	// slotted immediately before the task it loads. A chain head carries the
-	// warm-platform availability floor of its resource.
-	type item struct {
-		task, rc int   // exactly one is >= 0
-		prev     int   // chain predecessor item, or -1 for a chain head
-		floor    int64 // warm availability floor (chain heads only)
-		dur      int64
-	}
-	items := make([]item, 0, n+len(s.Reconfs))
-	add := func(it item) int {
-		items = append(items, it)
-		return len(items) - 1
-	}
-
-	placed := 0
-	for p := 0; p < s.Arch.Processors; p++ {
-		prev, floor := -1, int64(0)
-		if ps != nil && p < len(ps.ProcAvail) {
-			floor = ps.ProcAvail[p]
-		}
-		for _, t := range s.ProcessorTasks(p) {
-			prev = add(item{task: t, rc: -1, prev: prev, floor: floor, dur: s.Impl(t).Time})
-			floor = 0
-			placed++
-		}
-	}
-	for r := range s.Regions {
-		q := s.RegionTasks(r)
-		pos := make(map[int]int, len(q))
-		for i, t := range q {
-			pos[t] = i
-		}
-		// buckets[i] holds the reconfigurations that precede task q[i] in
-		// the region's exclusive timeline; bucket len(q) holds trailing
-		// loads that serve no task of this plan.
-		buckets := make([][]int, len(q)+1)
-		for i, rc := range s.Reconfs {
-			if rc.Region != r {
-				continue
-			}
-			b := len(q)
-			if rc.OutTask >= 0 {
-				j, ok := pos[rc.OutTask]
-				if !ok {
-					return nil, fmt.Errorf("no-prefetch baseline: reconfiguration %d loads task %d, which does not run in region %d", i, rc.OutTask, r)
-				}
-				b = j
-			} else {
-				// A load serving no task keeps its planned slot in the
-				// region's occupancy order.
-				b = 0
-				for _, t := range q {
-					if s.Tasks[t].Start < rc.Start {
-						b++
-					}
-				}
-			}
-			buckets[b] = append(buckets[b], i)
-		}
-		for _, bk := range buckets {
-			sort.SliceStable(bk, func(a, b int) bool {
-				return s.Reconfs[bk[a]].Start < s.Reconfs[bk[b]].Start
-			})
-		}
-		prev, floor := -1, int64(0)
-		if ps != nil && r < len(ps.Regions) {
-			floor = ps.Regions[r].Avail
-		}
-		for b := 0; b <= len(q); b++ {
-			for _, i := range buckets[b] {
-				prev = add(item{task: -1, rc: i, prev: prev, floor: floor, dur: s.Reconfs[i].End - s.Reconfs[i].Start})
-				floor = 0
-			}
-			if b < len(q) {
-				prev = add(item{task: q[b], rc: -1, prev: prev, floor: floor, dur: s.Impl(q[b]).Time})
-				floor = 0
-				placed++
-			}
-		}
-	}
-	if placed != n {
-		return nil, fmt.Errorf("no-prefetch baseline: %d of %d tasks hold a processor or region slot", placed, n)
-	}
-
-	// Event simulation by ready-scan: each round commits the uncommitted
-	// item with the earliest feasible start among those whose chain
-	// predecessor and data producers have all committed. Commits come out in
-	// nondecreasing start order (an item unlocked by a commit can start no
-	// earlier than that commit's end), so channel grants match a true event
-	// calendar; ties break on item index, which is deterministic because the
-	// chains are built in resource order.
-	start := make([]int64, len(items))
-	done := make([]bool, len(items))
-	taskEnd := make([]int64, n)
-	taskDone := make([]bool, n)
-	chFree := make([]int64, nch)
-	if ps != nil {
-		for c := 0; c < nch && c < len(ps.ReconfAvail); c++ {
-			chFree[c] = ps.ReconfAvail[c]
-		}
-	}
-	// dataAt is the instant task t's inputs are all available under the
-	// baseline timeline: its release floor joined with the committed ends of
-	// its predecessors plus communication. ok is false while a predecessor
-	// is still uncommitted.
-	dataAt := func(t int) (int64, bool) {
-		var dr int64
-		if ps != nil && t < len(ps.Release) {
-			dr = ps.Release[t]
-		}
-		for _, p := range s.Graph.Pred(t) {
-			if !taskDone[p] {
-				return 0, false
-			}
-			if f := taskEnd[p] + s.Graph.EdgeComm(p, t); f > dr {
-				dr = f
-			}
-		}
-		return dr, true
-	}
-	for committed := 0; committed < len(items); committed++ {
-		best, bestAt, bestCh := -1, int64(0), -1
-		for i, it := range items {
-			if done[i] {
-				continue
-			}
-			if it.prev >= 0 && !done[it.prev] {
-				continue
-			}
-			at := it.floor
-			if it.prev >= 0 {
-				if e := start[it.prev] + items[it.prev].dur; e > at {
-					at = e
-				}
-			}
-			ch := -1
-			if it.task >= 0 {
-				dr, ok := dataAt(it.task)
-				if !ok {
-					continue
-				}
-				if dr > at {
-					at = dr
-				}
-			} else {
-				if out := s.Reconfs[it.rc].OutTask; out >= 0 {
-					// The no-prefetch clamp: the load waits for the data
-					// of the task it serves.
-					dr, ok := dataAt(out)
-					if !ok {
-						continue
-					}
-					if dr > at {
-						at = dr
-					}
-				}
-				ch = 0
-				for c := 1; c < nch; c++ {
-					if chFree[c] < chFree[ch] {
-						ch = c
-					}
-				}
-				if chFree[ch] > at {
-					at = chFree[ch]
-				}
-			}
-			if best < 0 || at < bestAt {
-				best, bestAt, bestCh = i, at, ch
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("no-prefetch baseline: dependency deadlock — the tail's occupancy order contradicts its task graph")
-		}
-		it := items[best]
-		start[best], done[best] = bestAt, true
-		if it.task >= 0 {
-			taskDone[it.task] = true
-			taskEnd[it.task] = bestAt + it.dur
-		} else {
-			chFree[bestCh] = bestAt + it.dur
-		}
-	}
-
-	for i, it := range items {
-		if it.task >= 0 {
-			s.Tasks[it.task].Start = start[i]
-			s.Tasks[it.task].End = start[i] + it.dur
-		} else {
-			s.Reconfs[it.rc].Start = start[i]
-			s.Reconfs[it.rc].End = start[i] + it.dur
-		}
-	}
-	s.ComputeMakespan()
-	return s, nil
 }

@@ -525,9 +525,11 @@ func (s *Server) worker(arena *sched.Arena) {
 // dispatch solves one admitted job. It never panics (solver panics are
 // contained) and always leaves a response on the job.
 func (s *Server) dispatch(j *job, arena *sched.Arena) {
-	tr := s.cfg.Trace
+	// The request owns a lane, so the solve's spans nest under its
+	// serve.request span however many requests run at once.
+	tr := s.cfg.Trace.Root()
 	outcome := "ok"
-	sp := tr.StartRoot("serve.request", obs.Str("solver", j.solver))
+	sp := tr.Start("serve.request", obs.Str("solver", j.solver))
 	defer func() { sp.End(obs.Str("outcome", outcome)) }()
 	tr.Observe("serve.queue_wait_us", float64(time.Since(j.enqueued).Nanoseconds())/1e3)
 	begin := time.Now()

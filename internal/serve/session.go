@@ -192,7 +192,9 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		PolishIterations: req.PolishIterations,
 		Budget:           s.root,
 		Faults:           s.cfg.Faults,
-		Trace:            s.cfg.Trace,
+		// One lane per session: its epochs nest their solves and never
+		// another session's or request's spans.
+		Trace: s.cfg.Trace.Root(),
 	})
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, "bad-request", err.Error(), req.Solver)

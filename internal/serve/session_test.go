@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"resched/internal/arch"
@@ -257,5 +258,93 @@ func TestSessionMatchesDirectEngine(t *testing.T) {
 	}
 	if plan := eng.Plan(); plan == nil || plan.Makespan != last.Makespan {
 		t.Fatalf("wire makespan %d, direct engine %v", last.Makespan, plan)
+	}
+}
+
+// TestTraceLanesPerRequestAndSession runs sessions and /solve requests
+// concurrently on one server trace and checks the span ancestry: every
+// request's solve nests under its own serve.request, every session's solve
+// under its epoch, and requests and epochs are roots that never nest in one
+// another.
+func TestTraceLanesPerRequestAndSession(t *testing.T) {
+	tr := obs.New()
+	s := newServer(t, Config{Trace: tr})
+	h := s.Handler()
+
+	const sessions, submits, requests = 3, 2, 4
+	type call struct {
+		path    string
+		payload []byte
+	}
+	var calls [][]call // one sequence per goroutine
+	for i := 0; i < sessions; i++ {
+		id := openSession(t, h, map[string]any{"solver": "pa", "seed": int64(i)})
+		var seq []call
+		for j := 0; j < submits; j++ {
+			seq = append(seq, call{"/session/submit", body(t, map[string]any{
+				"session": id, "graph": graphJSON(t, 8, int64(60+10*i+j)), "arrival": int64(j * 400),
+			})})
+		}
+		calls = append(calls, seq)
+	}
+	for i := 0; i < requests; i++ {
+		calls = append(calls, []call{{"/solve", body(t, map[string]any{
+			"solver": "is1", "graph": graphJSON(t, 10, int64(90+i)),
+		})}})
+	}
+
+	codes := make(chan int, sessions*submits+requests)
+	var wg sync.WaitGroup
+	for _, seq := range calls {
+		wg.Add(1)
+		go func(seq []call) {
+			defer wg.Done()
+			for _, c := range seq {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(c.payload)))
+				codes <- rec.Code
+			}
+		}(seq)
+	}
+	wg.Wait()
+	close(codes)
+	for code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("call answered %d", code)
+		}
+	}
+
+	spans := tr.Snapshot().Spans
+	parentName := func(sp obs.SpanInfo) string {
+		if sp.Parent < 0 {
+			return "(root)"
+		}
+		return spans[sp.Parent].Name
+	}
+	count := map[string]int{}
+	for i, sp := range spans {
+		count[sp.Name]++
+		want := ""
+		switch sp.Name {
+		case "serve.request", "online.epoch":
+			want = "(root)"
+		case "solve.is1":
+			want = "serve.request"
+		case "solve.pa":
+			want = "online.epoch"
+		default:
+			continue
+		}
+		if got := parentName(sp); got != want {
+			t.Errorf("span %d %s nests under %s, want %s", i, sp.Name, got, want)
+		}
+	}
+	if count["serve.request"] != requests || count["solve.is1"] != requests {
+		t.Errorf("requests traced %d serve.request and %d solve.is1 spans, want %d each",
+			count["serve.request"], count["solve.is1"], requests)
+	}
+	if count["online.epoch"] < sessions*submits || count["solve.pa"] != count["online.epoch"] {
+		t.Errorf("sessions traced %d online.epoch and %d solve.pa spans, want %d or more, one solve each",
+			count["online.epoch"], count["solve.pa"], sessions*submits)
 	}
 }

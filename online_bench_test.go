@@ -86,9 +86,11 @@ func BenchmarkOnlineTraceThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineNoPrefetchRetime isolates the issue-at-dispatch baseline
-// rewrite (the event simulation behind -no-prefetch and the per-epoch stall
-// accounting's counterfactual).
+// BenchmarkOnlineNoPrefetchRetime measures a rolling-horizon pass with
+// DisablePrefetch: every epoch tail is re-timed by sim.ExecuteOnDemand, the
+// issue-at-dispatch rule behind -no-prefetch. (The per-epoch StallHidden
+// metric does not come from this simulation; stallStats estimates it per
+// load on the prefetching plan.)
 func BenchmarkOnlineNoPrefetchRetime(b *testing.B) {
 	a, err := arch.Preset("zedboard")
 	if err != nil {
