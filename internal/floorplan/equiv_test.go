@@ -397,14 +397,16 @@ func TestPlannerMatchesReference(t *testing.T) {
 			if b, r := m.Counters["floorplan.candsets_built"], m.Counters["floorplan.candsets_reused"]; b+r > int64(len(regions)) {
 				t.Fatalf("%s call %d: %d sets built and %d reused for %d regions", name, call, b, r, len(regions))
 			}
+			// The memo holds column-need classes: track requirements by key.
 			for _, req := range regions {
+				key := p.needKey(req)
 				switch {
-				case before[req]:
+				case before[key]:
 					carried++
-				case seen[req]:
+				case seen[key]:
 					returned++
 				}
-				seen[req] = true
+				seen[key] = true
 			}
 			for req := range before {
 				if _, ok := p.sets[req]; !ok {
@@ -487,6 +489,78 @@ func TestPlacementFootprintMatchesReference(t *testing.T) {
 			req := randomRequirement(rng, capacity, 1.1)
 			if got, want := PlacementFootprint(f, req), referenceFootprint(f, req); got != want {
 				t.Fatalf("%s trial %d: footprint of %v = %v, want %v", name, trial, req, got, want)
+			}
+		}
+	}
+}
+
+// Property: the planner's memo may share one candidate set across a
+// column-need class because a requirement and its class key enumerate the
+// same placements and get the same Solve answer. Checked on every preset
+// and on the 120-column fabric, at both ends of each class: the key is the
+// class's largest member (one more unit of a kind leaves the class), and
+// the smallest member per kind keys to it too (one unit less leaves it).
+func TestNeedClassKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, nf := range equivFabrics(t) {
+		name, f := nf.name, nf.f
+		p := NewPlanner(f)
+		capacity := f.Capacity()
+		for trial := 0; trial < 120; trial++ {
+			req := randomRequirement(rng, capacity, 0.3)
+			key := p.needKey(req)
+			if p.needKey(key) != key || !req.Fits(key) {
+				t.Fatalf("%s: %v keys to %v, which keys to %v", name, req, key, p.needKey(key))
+			}
+			want := Enumerate(f, req)
+			members := []resources.Vector{key}
+			for k := range key {
+				u := f.UnitsPerCell[k]
+				if key[k] <= 0 || u <= 0 {
+					continue
+				}
+				over := key
+				over[k]++
+				if p.needKey(over) == key {
+					t.Fatalf("%s: %v is in the class of %v", name, over, key)
+				}
+				// The smallest member of kind k: one unit above the largest
+				// requirement with a smaller column need at some height.
+				low := key
+				low[k] = 1
+				for h := 1; h <= f.Rows; h++ {
+					per := u * h
+					low[k] = max(low[k], ((key[k]+per-1)/per-1)*per+1)
+				}
+				if p.needKey(low) != key {
+					t.Fatalf("%s: smallest member %v keys to %v, want %v", name, low, p.needKey(low), key)
+				}
+				if below := low; below[k] > 1 {
+					below[k]--
+					if p.needKey(below) == key {
+						t.Fatalf("%s: %v below the smallest member %v is in its class", name, below, low)
+					}
+				}
+				members = append(members, low)
+			}
+			for _, m := range members {
+				if got := Enumerate(f, m); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Enumerate(%v) has %d placements, Enumerate(%v) %d", name, m, len(got), req, len(want))
+				}
+			}
+			other := randomRequirement(rng, capacity, 0.3)
+			raw, err := Solve(f, []resources.Vector{req, other}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range members {
+				keyed, err := Solve(f, []resources.Vector{m, p.needKey(other)}, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if keyed.Feasible != raw.Feasible || keyed.Proven != raw.Proven || !reflect.DeepEqual(keyed.Placements, raw.Placements) {
+					t.Fatalf("%s: Solve(%v, %v) = %+v, on the class members %v: %+v", name, req, other, raw, m, keyed)
+				}
 			}
 		}
 	}

@@ -19,6 +19,10 @@ import (
 // IS-k across its attempts — holds one Planner and stops re-enumerating
 // and re-sorting the requirements its calls share.
 //
+// The memo is keyed by column-need class (see needKey): requirements that
+// need the same number of columns of each kind at every height share one
+// candidate set.
+//
 // The memo holds two generations: the sets used by the current call and by
 // the previous one that got as far as looking up candidates. Each such call
 // drops the rest when it starts, so memory follows the size of two calls,
@@ -155,15 +159,16 @@ func (p *Planner) solve(regions []resources.Vector, opt Options) (*Result, error
 	capped, fits := false, true
 	var built, reused int64
 	for i, r := range regions {
-		s, ok := p.sets[r]
+		key := p.needKey(r)
+		s, ok := p.sets[key]
 		if ok {
 			reused++
 		} else {
-			s = p.build(r)
+			s = p.build(key)
 			built++
 		}
 		s.used = p.gen
-		p.sets[r] = s
+		p.sets[key] = s
 		if len(s.cands) == 0 {
 			fits = false
 			break
@@ -204,6 +209,28 @@ func (p *Planner) solve(regions []resources.Vector, opt Options) (*Result, error
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// needKey returns the memo key of req's column-need class: per kind k, the
+// largest requirement min_h ⌈req_k/(units_k·h)⌉·units_k·h with the same
+// column need ⌈req_k/(units_k·h)⌉ at every height h, or req_k itself when
+// it is not positive or the fabric has no units of kind k. Enumerate
+// depends on req only through those needs, so a class shares its
+// candidate set and tables; the DFS still reads the raw requirements.
+func (p *Planner) needKey(req resources.Vector) resources.Vector {
+	key := req
+	for k, r := range req {
+		u := p.f.UnitsPerCell[k]
+		if r <= 0 || u <= 0 {
+			continue
+		}
+		key[k] = (r + u - 1) / u * u // h = 1
+		for h := 2; h <= p.f.Rows; h++ {
+			per := u * h
+			key[k] = min(key[k], (r+per-1)/per*per)
+		}
+	}
+	return key
 }
 
 // build enumerates req's placements in search order and derives their

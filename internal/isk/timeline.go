@@ -66,7 +66,9 @@ type timeline struct {
 	// effectively minimises when optimising overall execution time.
 	lb int64
 
-	// busy slots per reconfiguration controller, each sorted by start.
+	// busy slots per reconfiguration controller, each sorted by start and
+	// then by end. The slots of a controller are disjoint, so their ends
+	// are sorted too.
 	slots [][]interval
 	// committed reconfiguration records.
 	reconfs []schedule.Reconfiguration
@@ -163,10 +165,13 @@ func (st *timeline) reconfLowerBound(r *iskRegion, ready int64) int64 {
 }
 
 // slotOn finds the earliest start ≥ lo of a free slot of the given length
-// on controller c.
+// on controller c. Slot ends are sorted, so the slots that end by lo are
+// skipped by binary search.
 func (st *timeline) slotOn(c int, lo, dur int64) int64 {
+	tl := st.slots[c]
+	i := sort.Search(len(tl), func(k int) bool { return tl[k].end > lo })
 	s := lo
-	for _, iv := range st.slots[c] {
+	for _, iv := range tl[i:] {
 		if iv.end <= s {
 			continue
 		}
@@ -191,10 +196,14 @@ func (st *timeline) slotFor(lo, dur int64) (int, int64) {
 }
 
 // insertSlot reserves [start, start+dur) on controller c and returns the
-// insertion index for undo.
+// insertion index for undo. Only an empty slot (a reconfiguration of zero
+// bits) can share its start with another; it goes first, keeping the ends
+// sorted.
 func (st *timeline) insertSlot(c int, start, dur int64) int {
 	tl := st.slots[c]
-	i := sort.Search(len(tl), func(k int) bool { return tl[k].start >= start })
+	i := sort.Search(len(tl), func(k int) bool {
+		return tl[k].start > start || (tl[k].start == start && tl[k].end >= start+dur)
+	})
 	tl = append(tl, interval{})
 	copy(tl[i+1:], tl[i:])
 	tl[i] = interval{start, start + dur}

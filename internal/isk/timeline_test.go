@@ -1,6 +1,7 @@
 package isk
 
 import (
+	"math/rand"
 	"testing"
 
 	"resched/internal/arch"
@@ -47,6 +48,49 @@ func TestSlotOperations(t *testing.T) {
 	st.removeSlot(0, i3)
 	if len(st.slots[0]) != 2 || st.slots[0][0].start != 10 || st.slots[0][1].start != 20 {
 		t.Errorf("removeSlot broke the timeline: %+v", st.slots[0])
+	}
+}
+
+// slotOn's binary search lands where a scan from the first slot would:
+// slots are inserted where slotOn puts them, empty ones included, and after
+// every insertion their ends stay sorted and slotOn agrees with the linear
+// scan for every lower bound and length.
+func TestSlotOnMatchesLinearScan(t *testing.T) {
+	linear := func(tl []interval, lo, dur int64) int64 {
+		s := lo
+		for _, iv := range tl {
+			if iv.end <= s {
+				continue
+			}
+			if iv.start >= s+dur {
+				break
+			}
+			s = iv.end
+		}
+		return s
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		st := testTimeline(t, true)
+		for k := 0; k < 40; k++ {
+			lo, dur := rng.Int63n(400), rng.Int63n(4)*rng.Int63n(30)
+			s := st.slotOn(0, lo, dur)
+			if want := linear(st.slots[0], lo, dur); s != want {
+				t.Fatalf("trial %d: slotOn(%d, %d) = %d, linear scan %d on %v", trial, lo, dur, s, want, st.slots[0])
+			}
+			st.insertSlot(0, s, dur)
+			tl := st.slots[0]
+			for i := 1; i < len(tl); i++ {
+				if tl[i].end < tl[i-1].end || tl[i].start < tl[i-1].start {
+					t.Fatalf("trial %d: slots out of order: %v", trial, tl)
+				}
+			}
+			for q := int64(0); q < 450; q += 7 {
+				if got, want := st.slotOn(0, q, 5), linear(tl, q, 5); got != want {
+					t.Fatalf("trial %d: slotOn(%d, 5) = %d, linear scan %d on %v", trial, q, got, want, tl)
+				}
+			}
+		}
 	}
 }
 

@@ -83,6 +83,14 @@ func (st *timeline) options(out []option, t int) []option {
 		}
 	}
 	ready := st.ready(t)
+	// A region's earliest reconfiguration slot depends only on the region
+	// and ready: it is searched once per region, on first use, not once
+	// per implementation. -1 marks a region not searched yet.
+	slotStart := st.ws.slotStart[:0]
+	for range st.regions {
+		slotStart = append(slotStart, -1)
+	}
+	st.ws.slotStart = slotStart
 	for _, i := range st.hwImpls[t] {
 		im := &task.Impls[i]
 		if st.usedRes.Add(st.footprint(im.Res)).Fits(st.maxRes) {
@@ -121,7 +129,11 @@ func (st *timeline) options(out []option, t int) []option {
 				}
 				continue
 			}
-			_, rs := st.slotFor(st.reconfLowerBound(r, ready), r.reconfTime)
+			rs := slotStart[ri]
+			if rs < 0 {
+				_, rs = st.slotFor(st.reconfLowerBound(r, ready), r.reconfTime)
+				slotStart[ri] = rs
+			}
 			s := rs + r.reconfTime
 			if ready > s {
 				s = ready
@@ -263,6 +275,8 @@ type windowSearch struct {
 	bud        *budget.Budget
 	readyBuf   [][]int
 	optBuf     [][]option
+	// slotStart is options' per-region slot search memo.
+	slotStart []int64
 }
 
 // solveWindow finds the window decisions minimising (makespan, Σ ends) by

@@ -262,12 +262,12 @@ func TestRegionTasksByStartOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &regionState{tasks: []int{2, 0, 1}}
-	// Give distinct starts via releases.
-	s.release[0] = 50
-	s.release[1] = 20
-	s.release[2] = 90
-	if err := s.retime(); err != nil {
-		t.Fatal(err)
+	// Give distinct starts via releases, set through delay so the
+	// incremental retime sees them.
+	for task, release := range []int64{50, 20, 90} {
+		if err := s.delay(task, release); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := s.regionTasksByStart(r)
 	want := []int{1, 0, 2}

@@ -253,6 +253,12 @@ func runPipeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vect
 	}
 	s.reset(g, a, maxRes)
 	s.strict = opts.StrictWindows
+	full0, incremental0 := s.cpmWS.Passes()
+	defer func() {
+		full, incremental := s.cpmWS.Passes()
+		opts.Trace.Count("pa.retime_full", full-full0)
+		opts.Trace.Count("pa.retime_incremental", incremental-incremental0)
+	}()
 	warm := opts.Initial != nil && !opts.Initial.Empty()
 	if warm {
 		if err := s.seedWarm(opts.Initial); err != nil {

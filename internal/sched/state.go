@@ -54,11 +54,13 @@ type state struct {
 
 	// Combined dependency graph: application edges + sequencing edges.
 	// The inner succ/pred slices retain their capacity across resets.
-	// succComm is aligned with succ: an application edge carries its
-	// declared communication time, a sequencing edge communicates for free.
+	// succComm is aligned with succ and predComm with pred: an application
+	// edge carries its declared communication time, a sequencing edge
+	// communicates for free.
 	succ     [][]int
 	pred     [][]int
 	succComm [][]int64
+	predComm [][]int64
 
 	// regions and placement bookkeeping. regionPool recycles regionState
 	// objects (and their task slices) across resets.
@@ -77,14 +79,19 @@ type state struct {
 	// release floors, warm regions and pins.
 	warm *schedule.PlatformState
 
-	// Current timing (recomputed by retime): est doubles as the start
-	// time, lft is the latest finish without extending the makespan. Both
-	// alias the cpm workspace and are rewritten in place by every retime.
+	// Current timing (brought up to date by retime): est doubles as the
+	// start time, lft is the latest finish without extending the makespan.
+	// Both alias the cpm workspace, which rewrites in place only the
+	// entries that move. Between a mutation and the next retime they still
+	// describe the graph before the mutation.
 	est, lft []int64
 	makespan int64
 
-	// cpmWS reuses the topological-order and timing buffers across the
-	// many re-timing passes of a single run (one per sequencing edge).
+	// cpmWS holds the timing across the many re-timing passes of a single
+	// run (one per sequencing edge). The mutators below report each change
+	// to it — addEdge an edge, delay a release, setImpl a duration — so
+	// retime updates only what changed; reset and seedWarm invalidate it,
+	// so a run's first retime is a full pass.
 	cpmWS cpm.Workspace
 
 	// Phase-local scratch buffers, each reused via [:0] re-slicing.
@@ -154,6 +161,7 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 		s.succ = make([][]int, n)
 		s.pred = make([][]int, n)
 		s.succComm = make([][]int64, n)
+		s.predComm = make([][]int64, n)
 	}
 	s.impl = s.impl[:n]
 	s.dur = s.dur[:n]
@@ -163,6 +171,7 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 	s.succ = s.succ[:n]
 	s.pred = s.pred[:n]
 	s.succComm = s.succComm[:n]
+	s.predComm = s.predComm[:n]
 	s.regions = s.regions[:0]
 
 	for k := range s.cellSize {
@@ -178,9 +187,11 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 		s.succ[t] = append(s.succ[t][:0], g.Succ(t)...)
 		s.pred[t] = append(s.pred[t][:0], g.Pred(t)...)
 		s.succComm[t] = append(s.succComm[t][:0], g.SuccComm(t)...)
+		s.predComm[t] = append(s.predComm[t][:0], g.PredComm(t)...)
 		s.regionOf[t] = -1
 		s.procOf[t] = -1
 	}
+	s.cpmWS.Invalidate()
 }
 
 // footprint estimates the device capacity a region of the given requirement
@@ -225,6 +236,8 @@ func (s *state) addEdge(from, to int) {
 	s.succ[from] = append(s.succ[from], to)
 	s.succComm[from] = append(s.succComm[from], 0)
 	s.pred[to] = append(s.pred[to], from)
+	s.predComm[to] = append(s.predComm[to], 0)
+	s.cpmWS.EdgeAdded(from, to)
 }
 
 // reaches reports whether task to is reachable from task from in the
@@ -268,7 +281,10 @@ func (s *state) hostablePinned(r *regionState, t int) bool {
 // setImpl selects implementation i for task t and refreshes its duration.
 func (s *state) setImpl(t, i int) {
 	s.impl[t] = i
-	s.dur[t] = s.g.Tasks[t].Impls[i].Time
+	if d := s.g.Tasks[t].Impls[i].Time; d != s.dur[t] {
+		s.dur[t] = d
+		s.cpmWS.DurationChanged(t)
+	}
 }
 
 // selectedImpl returns the implementation currently selected for t.
@@ -279,19 +295,28 @@ func (s *state) selectedImpl(t int) taskgraph.Implementation {
 // isHW reports whether the selected implementation of t is hardware.
 func (s *state) isHW(t int) bool { return s.selectedImpl(t).Kind == taskgraph.HW }
 
-// retime recomputes the time windows over the combined graph: est (which is
-// also the start time of the schedule under construction — §V-E sets
-// T_START = T_MIN) via a forward pass honouring releases, lft via the
-// backward pass against the resulting makespan. The timing arrays alias the
-// reusable cpm workspace and are overwritten in place on every call.
+// retime brings the time windows over the combined graph up to date: est
+// (which is also the start time of the schedule under construction — §V-E
+// sets T_START = T_MIN) honours releases, lft is the latest finish against
+// the resulting makespan. The cpm workspace updates only the tasks the
+// changes reported since the last retime move, or runs the full pass when
+// it has no timing to update; either way the result is that of a full
+// pass. The timing arrays alias the workspace.
 func (s *state) retime() error {
-	est, lft, makespan, err := s.cpmWS.ComputeEdges(s.g.N(), s.succ, s.pred, s.dur, s.release, -1, s.succComm)
+	est, lft, makespan, err := s.cpmWS.Update(s.g.N(), s.succ, s.pred, s.dur, s.release, -1, s.succComm, s.predComm)
 	if err != nil {
 		return fmt.Errorf("sched: %w", err)
 	}
 	s.est, s.lft, s.makespan = est, lft, makespan
+	if retimeHook != nil {
+		retimeHook(s)
+	}
 	return nil
 }
+
+// retimeHook, when set by a test, sees the state after every successful
+// retime.
+var retimeHook func(*state)
 
 // critical reports whether t currently has zero slack.
 func (s *state) critical(t int) bool { return s.lft[t]-s.est[t]-s.dur[t] == 0 }
@@ -309,6 +334,7 @@ func (s *state) delay(t int, notBefore int64) error {
 		return nil
 	}
 	s.release[t] = notBefore
+	s.cpmWS.ReleaseChanged(t)
 	return s.retime()
 }
 

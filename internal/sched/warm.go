@@ -22,6 +22,9 @@ import (
 // selection has not run yet; pins are applied by applyPins afterwards.
 func (s *state) seedWarm(ps *schedule.PlatformState) error {
 	s.warm = ps
+	// The release floors below are not reported one by one: the next
+	// retime is a full pass.
+	s.cpmWS.Invalidate()
 	n := s.g.N()
 	for t := 0; t < n && t < len(ps.Release); t++ {
 		if ps.Release[t] > s.release[t] {
