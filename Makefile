@@ -34,9 +34,11 @@ race:
 # the race detector. The race run skips them: -race makes them twenty
 # times slower, and TestParallelDeterminism already races the PA-R
 # workers. It also runs the online engine's issue-at-dispatch digest
-# (the no-prefetch baseline at 1, 2 and 3 controllers).
+# (the no-prefetch baseline at 1, 2 and 3 controllers) and the same Table I
+# digests from an empty and from a warm placement catalog.
 digest:
 	$(GO) test -count=1 -run '^TestSuiteGoldenDigest' .
+	$(GO) test -count=1 -run '^TestSuiteDigestColdAndWarmCatalog$$' ./internal/floorplan
 	$(GO) test -count=1 -run '^TestNoPrefetchGoldenDigest$$' ./internal/online
 
 reschedvet:
@@ -61,12 +63,13 @@ fuzz:
 # bench runs the Table I suite (plus the PA-R worker-scaling benchmarks,
 # the nil-trace overhead guard, the floorplanner and IS-k window layer
 # benchmarks, among them a floorplan query that runs to the node cap, and
-# the CPM timing update, full pass against incremental) and records it as structured JSON, the file successive PRs diff to
+# the CPM timing update, full pass against incremental, and the placement
+# catalog's cold build) and records it as structured JSON, the file successive PRs diff to
 # track scheduler performance over time. GOMAXPROCS is pinned
 # to 2 with -cpu; cmd/benchjson reads it back from the -2 name suffixes and
 # states it in the JSON.
-BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkFloorplanSolveCapped|BenchmarkISKWindow|BenchmarkTimingUpdate
-BENCH_PKGS = . ./internal/isk ./internal/cpm
+BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkFloorplanSolveCapped|BenchmarkISKWindow|BenchmarkTimingUpdate|BenchmarkPlacementCatalogCold
+BENCH_PKGS = . ./internal/isk ./internal/cpm ./internal/floorplan
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -cpu 2 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_table1.json
 

@@ -309,10 +309,11 @@ func TestBacktrackingMatchesReference(t *testing.T) {
 // call exactly as the reference search and a fresh Solve do: verdict, proof
 // status, placements and node count. Requirements come from a small pool
 // that drifts, so within a sequence they repeat inside a call, carry over
-// from the previous call, drop out of the memo after two calls without them
-// and come back. Calls mix candidate caps (the search must stop at the
-// capped view), node caps and budget caps small enough to abort inside a
-// skipped run, and the MILP method.
+// in the catalog from the previous call, drop out of it and come back: the
+// catalog's entry generation is rotated before every call, so a class two
+// calls without use is evicted. Calls mix candidate caps (the search must
+// stop at the capped view), node caps and budget caps small enough to
+// abort inside a skipped run, and the MILP method.
 func TestPlannerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var clashAborts, carried, returned, evicted int
@@ -324,6 +325,11 @@ func TestPlannerMatchesReference(t *testing.T) {
 			pool[i] = randomRequirement(rng, capacity, 0.3)
 		}
 		p := NewPlanner(f)
+		cat := CatalogOf(f)
+		poolKeys := map[resources.Vector]bool{}
+		for _, req := range pool {
+			poolKeys[cat.needKey(req)] = true
+		}
 		seen := map[resources.Vector]bool{}
 		for call := 0; call < 80; call++ {
 			regions := make([]resources.Vector, 1+rng.Intn(6))
@@ -358,9 +364,12 @@ func TestPlannerMatchesReference(t *testing.T) {
 				return o
 			}
 			before := map[resources.Vector]bool{}
-			for req := range p.sets {
-				before[req] = true
+			for key := range poolKeys {
+				if catalogHolds(cat, key) {
+					before[key] = true
+				}
 			}
+			rotateCatalog()
 			tr := obs.New()
 			o := withBudget()
 			o.Trace = tr
@@ -387,19 +396,23 @@ func TestPlannerMatchesReference(t *testing.T) {
 				}
 			}
 
-			// The memo keeps the sets of this call and the previous one.
-			for req, s := range p.sets {
-				if s.used < p.gen-1 {
-					t.Fatalf("%s call %d: set %v last used by call %d survives call %d", name, call, req, s.used, p.gen)
+			// The catalog holds every class of a call that searched, within
+			// its budget.
+			for _, req := range regions {
+				if (got.Feasible || got.Nodes > 0) && !catalogHolds(cat, cat.needKey(req)) {
+					t.Fatalf("%s call %d: class of %v not in the catalog after the call", name, call, req)
 				}
+			}
+			if b := catalogBytes(); b > catalogBudget {
+				t.Fatalf("%s call %d: catalog holds %d bytes, budget %d", name, call, b, catalogBudget)
 			}
 			m := tr.Snapshot()
 			if b, r := m.Counters["floorplan.candsets_built"], m.Counters["floorplan.candsets_reused"]; b+r > int64(len(regions)) {
 				t.Fatalf("%s call %d: %d sets built and %d reused for %d regions", name, call, b, r, len(regions))
 			}
-			// The memo holds column-need classes: track requirements by key.
+			// The catalog holds column-need classes: track requirements by key.
 			for _, req := range regions {
-				key := p.needKey(req)
+				key := cat.needKey(req)
 				switch {
 				case before[key]:
 					carried++
@@ -408,8 +421,8 @@ func TestPlannerMatchesReference(t *testing.T) {
 				}
 				seen[key] = true
 			}
-			for req := range before {
-				if _, ok := p.sets[req]; !ok {
+			for key := range before {
+				if !catalogHolds(cat, key) {
 					evicted++
 				}
 			}
@@ -494,26 +507,30 @@ func TestPlacementFootprintMatchesReference(t *testing.T) {
 	}
 }
 
-// Property: the planner's memo may share one candidate set across a
-// column-need class because a requirement and its class key enumerate the
-// same placements and get the same Solve answer. Checked on every preset
-// and on the 120-column fabric, at both ends of each class: the key is the
-// class's largest member (one more unit of a kind leaves the class), and
-// the smallest member per kind keys to it too (one unit less leaves it).
+// Property: the catalog may share one entry across a column-need class
+// because a requirement and its class key enumerate the same placements
+// and get the same Solve answer. Checked on every preset and on the
+// 120-column fabric, at both ends of each class: the key is the class's
+// largest member (one more unit of a kind leaves the class), and the
+// smallest member per kind keys to it too (one unit less leaves it). For
+// every member and both neighbours the catalog footprint equals the
+// Enumerate-based reference, and the class's candidate set, built after
+// the footprint, is a fresh sorted Enumerate with brute-force tables.
 func TestNeedClassKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, nf := range equivFabrics(t) {
 		name, f := nf.name, nf.f
-		p := NewPlanner(f)
+		cat := CatalogOf(f)
 		capacity := f.Capacity()
 		for trial := 0; trial < 120; trial++ {
 			req := randomRequirement(rng, capacity, 0.3)
-			key := p.needKey(req)
-			if p.needKey(key) != key || !req.Fits(key) {
-				t.Fatalf("%s: %v keys to %v, which keys to %v", name, req, key, p.needKey(key))
+			key := cat.needKey(req)
+			if cat.needKey(key) != key || !req.Fits(key) {
+				t.Fatalf("%s: %v keys to %v, which keys to %v", name, req, key, cat.needKey(key))
 			}
 			want := Enumerate(f, req)
 			members := []resources.Vector{key}
+			var neighbours []resources.Vector
 			for k := range key {
 				u := f.UnitsPerCell[k]
 				if key[k] <= 0 || u <= 0 {
@@ -521,7 +538,7 @@ func TestNeedClassKey(t *testing.T) {
 				}
 				over := key
 				over[k]++
-				if p.needKey(over) == key {
+				if cat.needKey(over) == key {
 					t.Fatalf("%s: %v is in the class of %v", name, over, key)
 				}
 				// The smallest member of kind k: one unit above the largest
@@ -532,16 +549,21 @@ func TestNeedClassKey(t *testing.T) {
 					per := u * h
 					low[k] = max(low[k], ((key[k]+per-1)/per-1)*per+1)
 				}
-				if p.needKey(low) != key {
-					t.Fatalf("%s: smallest member %v keys to %v, want %v", name, low, p.needKey(low), key)
+				if cat.needKey(low) != key {
+					t.Fatalf("%s: smallest member %v keys to %v, want %v", name, low, cat.needKey(low), key)
 				}
 				if below := low; below[k] > 1 {
 					below[k]--
-					if p.needKey(below) == key {
+					if cat.needKey(below) == key {
 						t.Fatalf("%s: %v below the smallest member %v is in its class", name, below, low)
 					}
+					neighbours = append(neighbours, below)
 				}
 				members = append(members, low)
+				neighbours = append(neighbours, over)
+			}
+			for _, m := range append(append(neighbours, req), members...) {
+				checkCatalog(t, name, cat, m)
 			}
 			for _, m := range members {
 				if got := Enumerate(f, m); !reflect.DeepEqual(got, want) {
@@ -554,7 +576,7 @@ func TestNeedClassKey(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range members {
-				keyed, err := Solve(f, []resources.Vector{m, p.needKey(other)}, Options{})
+				keyed, err := Solve(f, []resources.Vector{m, cat.needKey(other)}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -56,9 +56,32 @@ func (p Placement) String() string {
 // width placements are sufficient for feasibility: any solution using a
 // wider rectangle remains valid after shrinking it to minimal width.
 func Enumerate(f *arch.Fabric, req resources.Vector) []Placement {
-	// Count first: the scan is cheap, growing the slice by appends is not.
-	n := 0
-	minimalSpans(f, req, func(_, _, h int, _ resources.Vector) { n += f.Rows - h + 1 })
+	n, _ := spanStats(f, req)
+	return placements(f, req, n)
+}
+
+// spanStats counts the placements Enumerate lists for req and returns
+// req's placement footprint (see PlacementFootprint): the content of the
+// first minimal-area span in Enumerate order, or req itself when nothing
+// fits. Every row offset of a span has its area and content, so spans are
+// enough.
+func spanStats(f *arch.Fabric, req resources.Vector) (n int, fp resources.Vector) {
+	fp, bestArea := req, -1
+	minimalSpans(f, req, func(x0, x1, h int, cols resources.Vector) {
+		n += f.Rows - h + 1
+		if a := (x1 - x0) * h; bestArea < 0 || a < bestArea {
+			bestArea = a
+			for k, c := range cols {
+				fp[k] = c * f.UnitsPerCell[k] * h
+			}
+		}
+	})
+	return n, fp
+}
+
+// placements lists the n placements of req in Enumerate order; n comes
+// from spanStats, so the slice is allocated once at its final size.
+func placements(f *arch.Fabric, req resources.Vector, n int) []Placement {
 	if n == 0 {
 		return nil
 	}
@@ -182,7 +205,8 @@ type Result struct {
 
 // Solve searches for a disjoint placement of all regions on the fabric.
 // Regions with zero requirements are rejected. It is a fresh Planner's
-// Solve; callers that floorplan repeatedly should keep one Planner.
+// Solve; callers that floorplan repeatedly may keep one Planner to reuse
+// its search scratch.
 func Solve(f *arch.Fabric, regions []resources.Vector, opt Options) (*Result, error) {
 	return NewPlanner(f).Solve(regions, opt)
 }
@@ -215,19 +239,8 @@ func Verify(f *arch.Fabric, regions []resources.Vector, placements []Placement) 
 // placement, including resource columns the rectangle covers incidentally.
 // Schedulers use it for capacity accounting so that "fits the device"
 // tracks what the floorplanner can really place; it falls back to the raw
-// requirement when the region does not fit the fabric at all.
+// requirement when the region does not fit the fabric at all. It reads the
+// fabric's shared Catalog.
 func PlacementFootprint(f *arch.Fabric, req resources.Vector) resources.Vector {
-	// The first minimal-area span in Enumerate order wins; every row offset
-	// of a span has its area and content, so spans are enough.
-	best := req
-	bestArea := -1
-	minimalSpans(f, req, func(x0, x1, h int, cols resources.Vector) {
-		if a := (x1 - x0) * h; bestArea < 0 || a < bestArea {
-			bestArea = a
-			for k, c := range cols {
-				best[k] = c * f.UnitsPerCell[k] * h
-			}
-		}
-	})
-	return best
+	return CatalogOf(f).Footprint(req)
 }

@@ -25,7 +25,7 @@ const defaultMaxNodes = 200000
 // node: a skipped run is added to Result.Nodes and charged to the budget in
 // one ChargeRun, so node counts, aborts and the first solution found are
 // those of a loop that tests candidates one by one.
-func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, opt Options, res *Result) {
+func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, kindCols []resources.Vector, opt Options, res *Result) {
 	f := p.f
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -66,7 +66,6 @@ func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, 
 		}
 	}
 	width, rows := f.Width(), f.Rows
-	kindCols := p.kindCols
 	freeCells := kindCols[width].Scale(rows)
 
 	// One clash bitset per depth, covering the depth's (possibly capped)

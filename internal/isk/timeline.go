@@ -52,12 +52,19 @@ type timeline struct {
 
 	// regions are held by value: the window search appends and truncates
 	// them on every new-region decision, reusing the backing array.
-	regions    []iskRegion
-	procFree   []int64
-	usedRes    resources.Vector
-	footprints map[resources.Vector]resources.Vector
-	makespan   int64
-	sumEnds    int64
+	regions  []iskRegion
+	procFree []int64
+	usedRes  resources.Vector
+	// catalog is the fabric's shared placement catalog (nil without a
+	// fabric).
+	catalog *floorplan.Catalog
+	// implFP[implBase[t]+i] is the capacity footprint of task t's
+	// hardware implementation i, filled once per timeline so the window
+	// search indexes it instead of looking it up.
+	implFP   []resources.Vector
+	implBase []int
+	makespan int64
+	sumEnds  int64
 	// tails[t] is the longest chain of minimal execution times strictly
 	// below t; lower bounds the schedule completion when t ends at end[t].
 	tails []int64
@@ -100,12 +107,25 @@ func newTimeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vect
 			st.cellSize[k] = a.Fabric.UnitsPerCell[k]
 		}
 	}
+	if a.Fabric != nil {
+		st.catalog = floorplan.CatalogOf(a.Fabric)
+	}
 	st.swImpls = make([][]int, n)
 	st.hwImpls = make([][]int, n)
+	st.implBase = make([]int, n)
+	impls := 0
 	for t, task := range g.Tasks {
 		st.impl[t] = -1
 		st.swImpls[t] = task.SWImpls()
 		st.hwImpls[t] = task.HWImpls()
+		st.implBase[t] = impls
+		impls += len(task.Impls)
+	}
+	st.implFP = make([]resources.Vector, impls)
+	for t, task := range g.Tasks {
+		for _, i := range st.hwImpls[t] {
+			st.implFP[st.implBase[t]+i] = st.footprint(task.Impls[i].Res)
+		}
 	}
 	st.slots = make([][]interval, a.ReconfiguratorCount())
 	return st
@@ -114,17 +134,10 @@ func newTimeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vect
 // footprint estimates the capacity a region will consume once placed (see
 // sched.state.footprint for the rationale): the content of the minimal-area
 // placement rectangle when a fabric is known, cell-rounded counts otherwise.
+// The window search reads implementation footprints from implFP instead.
 func (st *timeline) footprint(res resources.Vector) resources.Vector {
-	if st.a.Fabric != nil {
-		if fp, ok := st.footprints[res]; ok {
-			return fp
-		}
-		fp := floorplan.PlacementFootprint(st.a.Fabric, res)
-		if st.footprints == nil {
-			st.footprints = make(map[resources.Vector]resources.Vector)
-		}
-		st.footprints[res] = fp
-		return fp
+	if st.catalog != nil {
+		return st.catalog.Footprint(res)
 	}
 	for k, c := range res {
 		cell := st.cellSize[k]

@@ -93,7 +93,7 @@ func (st *timeline) options(out []option, t int) []option {
 	st.ws.slotStart = slotStart
 	for _, i := range st.hwImpls[t] {
 		im := &task.Impls[i]
-		if st.usedRes.Add(st.footprint(im.Res)).Fits(st.maxRes) {
+		if st.usedRes.Add(st.implFP[st.implBase[t]+i]).Fits(st.maxRes) {
 			out = append(out, option{task: t, impl: i, kind: optNewRegion})
 		}
 		if st.exhaustive {
@@ -175,7 +175,7 @@ func (st *timeline) apply(o option, commit bool) (applied, error) {
 		st.procFree[o.proc] = start + im.Time
 
 	case optNewRegion:
-		ap.fp = st.footprint(im.Res)
+		ap.fp = st.implFP[st.implBase[o.task]+o.impl]
 		ap.region = len(st.regions)
 		start = ready
 		st.regions = append(st.regions, iskRegion{

@@ -217,3 +217,45 @@ func TestMixSeedStreams(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedCatalogConcurrentPAR runs PA-R searches concurrently on a
+// fabric no other test uses, so they fill its placement catalog together:
+// a W=4 search whose workers share classes, next to W=1 searches on their
+// own goroutines. Each must equal the same search run alone afterwards on
+// the filled catalog. Under -race this covers the catalog's locking.
+func TestSharedCatalogConcurrentPAR(t *testing.T) {
+	a, err := arch.ScaledZedBoard(1.13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := genGraph(t, benchgen.Config{Tasks: 30, Seed: 4711})
+	optsFor := func(workers int) RandomOptions {
+		return RandomOptions{MaxIterations: 12, Seed: 5, Workers: workers}
+	}
+	workers := []int{4, 1, 1, 1}
+	got := make([]*schedule.Schedule, len(workers))
+	errs := make([]error, len(workers))
+	done := make(chan int)
+	for i, w := range workers {
+		go func() {
+			got[i], _, errs[i] = RSchedule(g, a, optsFor(w))
+			done <- i
+		}()
+	}
+	for range workers {
+		<-done
+	}
+	for i, w := range workers {
+		if errs[i] != nil {
+			t.Fatalf("concurrent search %d (W=%d): %v", i, w, errs[i])
+		}
+		want, _, err := RSchedule(g, a, optsFor(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("concurrent search %d (W=%d): makespan %d, alone on the filled catalog %d",
+				i, w, got[i].Makespan, want.Makespan)
+		}
+	}
+}

@@ -40,9 +40,11 @@ type state struct {
 	// rounded up to whole cells for capacity accounting, matching what the
 	// floorplanner can actually place.
 	cellSize resources.Vector
-	// footprints caches fabric-aware capacity footprints per requirement.
-	// The cache is pure (fabric geometry is immutable) and survives resets.
-	footprints map[resources.Vector]resources.Vector
+	// catalog holds the fabric-aware capacity footprints of the current
+	// fabric (nil without one). It is shared by the process and resolved
+	// by fabric content at every reset, so a state reused on another
+	// fabric never reads the old fabric's footprints.
+	catalog *floorplan.Catalog
 	// strict selects the ablation mode that uses the literal §V-C
 	// window-disjointness test instead of slot-insertion compatibility.
 	strict bool
@@ -174,6 +176,10 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 	s.predComm = s.predComm[:n]
 	s.regions = s.regions[:0]
 
+	s.catalog = nil
+	if a.Fabric != nil {
+		s.catalog = floorplan.CatalogOf(a.Fabric)
+	}
 	for k := range s.cellSize {
 		s.cellSize[k] = 1
 		if a.Fabric != nil && a.Fabric.UnitsPerCell[k] > 0 {
@@ -201,16 +207,8 @@ func (s *state) reset(g *taskgraph.Graph, a *arch.Architecture, maxRes resources
 // to whole cells per kind. Keeping the accounting aligned with what the
 // floorplanner can place makes the §V-H shrink-and-restart loop rare.
 func (s *state) footprint(res resources.Vector) resources.Vector {
-	if s.a.Fabric != nil {
-		if fp, ok := s.footprints[res]; ok {
-			return fp
-		}
-		fp := floorplan.PlacementFootprint(s.a.Fabric, res)
-		if s.footprints == nil {
-			s.footprints = make(map[resources.Vector]resources.Vector)
-		}
-		s.footprints[res] = fp
-		return fp
+	if s.catalog != nil {
+		return s.catalog.Footprint(res)
 	}
 	for k, c := range res {
 		cell := s.cellSize[k]

@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"resched/internal/arch"
 	"resched/internal/benchgen"
 	"resched/internal/budget"
 	"resched/internal/faultinject"
@@ -644,5 +645,53 @@ func waitState(t *testing.T, s *Server, want int) {
 			t.Fatalf("state stuck at %s, want %s", stateName(st), stateName(want))
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestWorkerArenaAcrossPresets: a worker's arena outlives requests and
+// moves between fabrics. On a one-worker pool without a cache, the same
+// /solve must return the same schedule whatever presets that worker served
+// before, equal to what a fresh server returns.
+func TestWorkerArenaAcrossPresets(t *testing.T) {
+	suite, err := benchgen.Suite(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	presets := arch.PresetNames()
+	for _, e := range suite {
+		if e.Index != 0 || e.Group%20 != 0 {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := e.Graph.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payload := func(preset string) []byte {
+			return body(t, map[string]any{
+				"solver": "pa", "arch": preset, "graph": json.RawMessage(buf.Bytes()), "include_schedule": true,
+			})
+		}
+		solveOn := func(h http.Handler, preset string) SolveResponse {
+			var resp SolveResponse
+			if code := postRec(t, h, payload(preset), &resp); code != http.StatusOK {
+				t.Fatalf("group %d on %s: status %d", e.Group, preset, code)
+			}
+			return resp
+		}
+		for _, target := range presets {
+			want := solveOn(newServer(t, Config{Workers: 1, CacheEntries: -1}).Handler(), target)
+			h := newServer(t, Config{Workers: 1, CacheEntries: -1}).Handler()
+			for _, before := range presets {
+				if before == target {
+					continue
+				}
+				solveOn(h, before)
+				got := solveOn(h, target)
+				if got.Makespan != want.Makespan || !bytes.Equal(got.Schedule, want.Schedule) {
+					t.Fatalf("group %d on %s after %s: makespan %d, fresh server %d",
+						e.Group, target, before, got.Makespan, want.Makespan)
+				}
+			}
+		}
 	}
 }
