@@ -59,17 +59,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadGraphJSON -fuzztime $(FUZZTIME) ./internal/taskgraph
 	$(GO) test -run '^$$' -fuzz FuzzCheckSchedule -fuzztime $(FUZZTIME) ./internal/schedule
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalTiming -fuzztime $(FUZZTIME) ./internal/cpm
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/serve
 
 # bench runs the Table I suite (plus the PA-R worker-scaling benchmarks,
 # the nil-trace overhead guard, the floorplanner and IS-k window layer
 # benchmarks, among them a floorplan query that runs to the node cap, and
-# the CPM timing update, full pass against incremental, and the placement
-# catalog's cold build) and records it as structured JSON, the file successive PRs diff to
+# the CPM timing update, full pass against incremental, the placement
+# catalog's cold build, the schedule cache's miss probe and paschedd's
+# request decode) and records it as structured JSON, the file successive PRs diff to
 # track scheduler performance over time. GOMAXPROCS is pinned
 # to 2 with -cpu; cmd/benchjson reads it back from the -2 name suffixes and
 # states it in the JSON.
-BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkFloorplanSolveCapped|BenchmarkISKWindow|BenchmarkTimingUpdate|BenchmarkPlacementCatalogCold
-BENCH_PKGS = . ./internal/isk ./internal/cpm ./internal/floorplan
+BENCH_RE = BenchmarkTable1|BenchmarkPAR|BenchmarkPAParallelInstances|BenchmarkNilTrace|BenchmarkCache|BenchmarkOnline|BenchmarkFloorplanSolvePA|BenchmarkFloorplanSolveCapped|BenchmarkISKWindow|BenchmarkTimingUpdate|BenchmarkPlacementCatalogCold|BenchmarkServe
+BENCH_PKGS = . ./internal/isk ./internal/cpm ./internal/floorplan ./internal/serve
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' -benchmem -cpu 2 $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -o BENCH_table1.json
 

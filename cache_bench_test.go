@@ -10,12 +10,18 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"resched/internal/arch"
+	"resched/internal/benchgen"
+	"resched/internal/floorplan"
 	"resched/internal/schedcache"
+	"resched/internal/schedule"
 	"resched/internal/solve"
+	"resched/internal/taskgraph"
 )
 
 // getSolver fetches a registered solver or fails the benchmark.
@@ -145,4 +151,75 @@ func BenchmarkCacheWarmStartPAR(b *testing.B) {
 		}
 		b.ReportMetric(float64(reached), "iters_to_cached_quality")
 	})
+}
+
+// probeSolver stands in for PA behind the cache decorator: while filling
+// it returns a synthetic schedule with a floorplan (a hint donor for
+// near-miss probes); while probing it fails, so nothing is stored and the
+// cache stays exactly as filled.
+type probeSolver struct{ filling bool }
+
+var errProbeOnly = errors.New("probe only")
+
+func (p *probeSolver) Name() string { return "pa" }
+
+func (p *probeSolver) Solve(req *solve.Request) (*solve.Result, error) {
+	if !p.filling {
+		return nil, errProbeOnly
+	}
+	sch := schedule.New(req.Graph, req.Arch)
+	sch.Makespan = 1
+	return &solve.Result{Schedule: sch, Makespan: 1,
+		Placements: []floorplan.Placement{{X0: 0, X1: 1, Y0: 0, Y1: 1}}}, nil
+}
+
+// BenchmarkCacheMissProbe prices what a cache miss costs on top of the
+// solve, on a full 256-entry cache of 10–60-task graphs (the serve-mix
+// pool's sizes): the key, the lookup, the similarity signature and both
+// warm-start probes. "near" requests perturb one implementation time of a
+// cached graph, so the probe finds a neighbour at delta 2; "far" requests
+// are graphs the cache has never seen.
+func BenchmarkCacheMissProbe(b *testing.B) {
+	const entries = 256
+	a := arch.ZedBoard()
+	rng := rand.New(rand.NewSource(2016))
+	gen := func(seed int64) *taskgraph.Graph {
+		g, err := benchgen.Generate(benchgen.Config{Tasks: 10 + rng.Intn(51), Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	stub := &probeSolver{filling: true}
+	cached := schedcache.Wrap(stub, schedcache.New(entries))
+	pool := make([]*taskgraph.Graph, entries)
+	for i := range pool {
+		pool[i] = gen(int64(i))
+		if _, err := cached.Solve(&solve.Request{Graph: pool[i], Arch: a}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	stub.filling = false
+	near := make([]*taskgraph.Graph, 64)
+	far := make([]*taskgraph.Graph, 64)
+	for i := range near {
+		p := pool[rng.Intn(entries)].Clone()
+		t := p.Tasks[rng.Intn(len(p.Tasks))]
+		t.Impls[rng.Intn(len(t.Impls))].Time += 1 + rng.Int63n(3)
+		near[i] = p
+		far[i] = gen(int64(10000 + i))
+	}
+	for _, bc := range []struct {
+		name   string
+		graphs []*taskgraph.Graph
+	}{{"near", near}, {"far", far}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cached.Solve(&solve.Request{Graph: bc.graphs[i%len(bc.graphs)], Arch: a}); err != errProbeOnly {
+					b.Fatalf("probe returned %v", err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -23,6 +24,10 @@ type Digest [sha256.Size]byte
 // String renders the digest as lowercase hex — the form the golden key
 // vectors pin.
 func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
+// less orders digests by their bytes, which is the order of their hex
+// strings (hex encoding keeps byte order) without building them.
+func (d Digest) less(o Digest) bool { return bytes.Compare(d[:], o[:]) < 0 }
 
 // Key versioning: bump these when the canonical encoding changes in any
 // way, so stale processes never exchange keys across incompatible formats

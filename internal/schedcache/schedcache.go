@@ -169,9 +169,9 @@ func (c *Cache) noteWarm() {
 // sameInstance finds a cached solve of the exact same instance (graph,
 // architecture and instance-shaping options equal) produced under a
 // different full key — a different solver or different search options.
-// Among candidates it picks the lowest makespan, breaking ties by key hex,
-// so the choice is independent of LRU recency order and therefore of
-// request interleaving. The entries list, not the map, is scanned: the
+// Among candidates it picks the lowest makespan, breaking ties by key
+// (Digest.less, the order of the hex form), so the choice is independent
+// of LRU recency order and therefore of request interleaving. The entries list, not the map, is scanned: the
 // scan order never influences the result, but iterating the container
 // keeps the selection logic obviously order-free.
 func (c *Cache) sameInstance(instance Digest) (*entry, bool) {
@@ -185,8 +185,7 @@ func (c *Cache) sameInstance(instance Digest) (*entry, bool) {
 		}
 		if best == nil ||
 			e.res.Schedule.Makespan < best.res.Schedule.Makespan ||
-			(e.res.Schedule.Makespan == best.res.Schedule.Makespan &&
-				e.key.String() < best.key.String()) {
+			(e.res.Schedule.Makespan == best.res.Schedule.Makespan && e.key.less(best.key)) {
 			best = e
 		}
 	}
@@ -196,12 +195,18 @@ func (c *Cache) sameInstance(instance Digest) (*entry, bool) {
 // nearest finds the most similar cached solve on the same architecture
 // that carries a floorplan (hints are all a near-miss can soundly reuse).
 // Distance is the multiset task/edge signature delta; candidates above the
-// threshold are rejected. Ties break by key hex for the same
+// threshold are rejected. Ties break by key for the same
 // interleaving-independence as sameInstance.
+//
+// The scan is bounded: once an entry at delta d is found, only entries at
+// delta d or less can still win (a tie breaks on the key), so every later
+// delta is computed with deltaWithin under min(threshold, d). Most entries
+// fail its size-difference bound without a merge; the result is the same
+// entry and delta as the full scan's.
 func (c *Cache) nearest(arch Digest, sig *Signature) (*entry, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	limit := c.threshold(sig.Size())
+	bound := c.threshold(sig.Size())
 	var best *entry
 	bestDelta := 0
 	for el := c.order.Front(); el != nil; el = el.Next() {
@@ -209,13 +214,12 @@ func (c *Cache) nearest(arch Digest, sig *Signature) (*entry, int, bool) {
 		if e.arch != arch || len(e.res.Placements) == 0 || e.sig == nil {
 			continue
 		}
-		d := sig.Delta(e.sig)
-		if d > limit {
+		d, ok := sig.deltaWithin(e.sig, bound)
+		if !ok {
 			continue
 		}
-		if best == nil || d < bestDelta ||
-			(d == bestDelta && e.key.String() < best.key.String()) {
-			best, bestDelta = e, d
+		if best == nil || d < bestDelta || (d == bestDelta && e.key.less(best.key)) {
+			best, bestDelta, bound = e, d, d
 		}
 	}
 	if best == nil {

@@ -94,10 +94,12 @@ func (cs cachingSolver) Solve(req *solve.Request) (*solve.Result, error) {
 	begin := time.Now()
 	keys := computeKeys(req, name)
 	if res, ok := cs.cache.lookup(keys.full); ok {
+		lookup := time.Since(begin)
 		req.Trace.Count("cache.hits", 1)
-		req.Trace.Observe("cache.lookup_us", float64(time.Since(begin).Nanoseconds())/1e3)
+		req.Trace.Observe("cache.lookup_us", float64(lookup.Nanoseconds())/1e3)
 		out := cloneResult(res)
 		out.Cache = "hit"
+		out.CacheTime = lookup
 		return out, nil
 	}
 	req.Trace.Count("cache.misses", 1)
@@ -137,7 +139,8 @@ func (cs cachingSolver) Solve(req *solve.Request) (*solve.Result, error) {
 		cs.cache.noteWarm()
 		req.Trace.Count("cache.warm_starts", 1)
 	}
-	req.Trace.Observe("cache.lookup_us", float64(time.Since(begin).Nanoseconds())/1e3)
+	lookup := time.Since(begin)
+	req.Trace.Observe("cache.lookup_us", float64(lookup.Nanoseconds())/1e3)
 
 	res, err := cs.inner.Solve(&creq)
 	if err != nil {
@@ -150,6 +153,7 @@ func (cs cachingSolver) Solve(req *solve.Request) (*solve.Result, error) {
 	if res.Schedule != nil && req.Budget.Check() == nil {
 		stored := cloneResult(res)
 		stored.Cache = ""
+		stored.CacheTime = 0
 		cs.cache.store(&entry{
 			key: keys.full, instance: keys.instance, arch: keys.arch,
 			sig: sig, res: stored,
@@ -157,6 +161,7 @@ func (cs cachingSolver) Solve(req *solve.Request) (*solve.Result, error) {
 		req.Trace.Count("cache.stores", 1)
 	}
 	res.Cache = mode
+	res.CacheTime = lookup
 	return res, nil
 }
 

@@ -48,6 +48,21 @@ type jsonReconf struct {
 
 // WriteJSON encodes the schedule as indented JSON.
 func (s *Schedule) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s.document())
+}
+
+// CompactJSON returns the schedule as compact JSON: WriteJSON's document
+// without indentation and without the trailing newline, which is what
+// encoding/json makes of WriteJSON's output when it embeds it as a
+// json.RawMessage.
+func (s *Schedule) CompactJSON() ([]byte, error) {
+	return json.Marshal(s.document())
+}
+
+// document is the schedule's on-disk form.
+func (s *Schedule) document() jsonSchedule {
 	js := jsonSchedule{
 		Algorithm:   s.Algorithm,
 		Graph:       s.Graph.Name,
@@ -75,9 +90,7 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 			Start: rc.Start, End: rc.End,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(js)
+	return js
 }
 
 // ReadJSON decodes a schedule against its instance (graph + architecture)

@@ -216,7 +216,32 @@ type job struct {
 	// Outcome, written by the worker before done is closed.
 	status int
 	body   any
+	times  stageTimes
 	done   chan struct{}
+}
+
+// stageTimes splits one /solve request into the stages its Server-Timing
+// header reports: the handler's decode, the wait in the queue, the cache's
+// keying and probes, the solve, and building and encoding the response.
+type stageTimes struct {
+	decode, queue, cache, solve, encode time.Duration
+}
+
+// header renders the stages as a Server-Timing value, in milliseconds.
+func (t *stageTimes) header() string {
+	b := make([]byte, 0, 96)
+	for i, st := range [...]struct {
+		name string
+		d    time.Duration
+	}{{"decode", t.decode}, {"queue", t.queue}, {"cache", t.cache}, {"solve", t.solve}, {"encode", t.encode}} {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, st.name...)
+		b = append(b, ";dur="...)
+		b = strconv.AppendFloat(b, float64(st.d.Nanoseconds())/1e6, 'f', 3, 64)
+	}
+	return string(b)
 }
 
 // Server is the scheduling service: admission control, the worker pool and
@@ -407,7 +432,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "bad-request", fmt.Sprintf("reading body: %v", err), "")
 		return
 	}
+	begin := time.Now()
 	req, g, a, err := decodeRequest(body, s.cfg.DefaultArch)
+	decode := time.Since(begin)
+	s.cfg.Trace.Observe("serve.decode_us", float64(decode.Nanoseconds())/1e3)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, "bad-request", err.Error(), "")
 		return
@@ -419,12 +447,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	j := &job{req: req, ctx: r.Context(), solver: req.Solver, done: make(chan struct{})}
 	j.req.graph, j.req.arch = g, a
+	j.times.decode = decode
 	if status, reason := s.admit(j, forceFull); status != 0 {
 		s.reject(w, status, reason, "request not admitted: "+reason, req.Solver)
 		return
 	}
 	<-j.done
-	writeJSON(w, j.status, j.body)
+	begin = time.Now()
+	out := encodeBody(j.body)
+	j.times.encode += time.Since(begin)
+	w.Header().Set("Server-Timing", j.times.header())
+	writeBody(w, j.status, out)
 	s.cfg.Trace.Count("serve.status."+strconv.Itoa(j.status), 1)
 }
 
@@ -531,7 +564,8 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 	outcome := "ok"
 	sp := tr.Start("serve.request", obs.Str("solver", j.solver))
 	defer func() { sp.End(obs.Str("outcome", outcome)) }()
-	tr.Observe("serve.queue_wait_us", float64(time.Since(j.enqueued).Nanoseconds())/1e3)
+	j.times.queue = time.Since(j.enqueued)
+	tr.Observe("serve.queue_wait_us", float64(j.times.queue.Nanoseconds())/1e3)
 	begin := time.Now()
 
 	// The request budget: a child of the server root (so drain can cancel
@@ -549,12 +583,17 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 	opts.Trace = tr
 
 	res, err := s.safeSolve(j, &solve.Request{Graph: j.req.graph, Arch: j.req.arch, Options: opts})
-	tr.Observe("serve.request_us", float64(time.Since(begin).Nanoseconds())/1e3)
+	j.times.solve = time.Since(begin)
+	tr.Observe("serve.request_us", float64(j.times.solve.Nanoseconds())/1e3)
 	if err != nil {
 		outcome = s.fail(j, err)
 		return
 	}
+	j.times.cache = res.CacheTime
+	j.times.solve -= res.CacheTime
+	begin = time.Now()
 	resp, err := buildResponse(j.req, j.solver, j.shedFrom, j.degraded, res)
+	j.times.encode = time.Since(begin)
 	if err != nil {
 		outcome = s.fail(j, err)
 		return
@@ -661,14 +700,29 @@ func (s *Server) partialResult(j *job) *SolveResponse {
 	}
 }
 
-// writeJSON writes one JSON response. An encode error means the client went
-// away; the headers are gone, so there is nothing left to report.
+// writeJSON writes one JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, encodeBody(v))
+}
+
+// encodeBody returns the bytes json.Encoder.Encode writes for v: the
+// JSON and a newline. The response types always encode, so an error
+// leaves the body empty, as Encode did.
+func encodeBody(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil
+	}
+	return append(b, '\n')
+}
+
+// writeBody writes an encoded JSON response. A write error means the
+// client went away; the headers are gone, so there is nothing left to
+// report.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
+	_, _ = w.Write(body)
 }
 
 // DrainReport summarises a drain.

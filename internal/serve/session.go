@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -239,7 +239,7 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "bad-request", "request has no graph", sess.solver)
 		return
 	}
-	g, err := taskgraph.Read(bytes.NewReader(req.Graph))
+	g, err := taskgraph.Decode(req.Graph)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, "bad-request", err.Error(), sess.solver)
 		return
@@ -317,12 +317,12 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	if res.Schedule != nil {
 		resp.Makespan = res.Schedule.Makespan
 		if req.IncludeSchedule {
-			var buf bytes.Buffer
-			if err := res.Schedule.WriteJSON(&buf); err != nil {
+			sch, err := res.Schedule.CompactJSON()
+			if err != nil {
 				s.reject(w, http.StatusInternalServerError, "internal", err.Error(), sess.solver)
 				return
 			}
-			resp.Schedule = json.RawMessage(buf.Bytes())
+			resp.Schedule = sch
 		}
 	}
 	s.cfg.Trace.Count("serve.session.close", 1)
@@ -330,16 +330,20 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeSessionBody is the shared session-endpoint prologue: POST only,
-// bounded body, strict JSON.
+// bounded body, strict JSON: one object of known fields and nothing after
+// it but whitespace.
 func (s *Server) decodeSessionBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.reject(w, http.StatusBadRequest, "bad-request", fmt.Sprintf("decoding request: %v", err), "")
+		return false
+	}
+	if err := decodeStrict(body, v); err != nil {
+		s.reject(w, http.StatusBadRequest, "bad-request", err.Error(), "")
 		return false
 	}
 	return true

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"resched/internal/arch"
+	"resched/internal/canonjson"
 	"resched/internal/solve"
 	"resched/internal/taskgraph"
 )
@@ -100,22 +102,16 @@ type ErrorResponse struct {
 }
 
 // decodeRequest parses and validates a wire request into a dispatchable
-// instance. The graph is validated on decode (taskgraph.Read semantics), so
-// workers never see a malformed instance.
+// instance. The graph is validated on decode (taskgraph.Decode), so workers
+// never see a malformed instance. A body in the canonical subset of JSON
+// (the form json.Marshal gives a SolveRequest) is read in one pass by
+// readCanonicalRequest; any other body takes the encoding/json path, with
+// the same result and the same error.
 func decodeRequest(body []byte, defaultArch string) (*SolveRequest, *taskgraph.Graph, *arch.Architecture, error) {
-	var req SolveRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, nil, fmt.Errorf("decoding request: %w", err)
+	req, g, err := readCanonicalRequest(body)
+	if errors.Is(err, errNotCanonical) {
+		req, g, err = decodeRequestJSON(body)
 	}
-	if req.Solver == "" {
-		req.Solver = "robust"
-	}
-	if len(req.Graph) == 0 {
-		return nil, nil, nil, fmt.Errorf("request has no graph")
-	}
-	g, err := taskgraph.Read(bytes.NewReader(req.Graph))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -127,7 +123,118 @@ func decodeRequest(body []byte, defaultArch string) (*SolveRequest, *taskgraph.G
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &req, g, a, nil
+	return req, g, a, nil
+}
+
+// decodeRequestJSON is the encoding/json path of decodeRequest.
+func decodeRequestJSON(body []byte) (*SolveRequest, *taskgraph.Graph, error) {
+	var req SolveRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, nil, err
+	}
+	if req.Solver == "" {
+		req.Solver = "robust"
+	}
+	if len(req.Graph) == 0 {
+		return nil, nil, fmt.Errorf("request has no graph")
+	}
+	g, err := taskgraph.Decode(req.Graph)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &req, g, nil
+}
+
+// decodeStrict decodes a request body that must be exactly one JSON object
+// of known fields, optionally followed by whitespace.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errTrailingData
+	}
+	return nil
+}
+
+var (
+	errTrailingData = errors.New("decoding request: unexpected data after the request object")
+	// errNotCanonical is readCanonicalRequest's "not mine"; it never
+	// reaches a client.
+	errNotCanonical = errors.New("request body is not canonical JSON")
+)
+
+// readCanonicalRequest reads a /solve body in the canonical subset (see
+// internal/canonjson): the envelope and the graph in one pass, with no
+// RawMessage copy and no second scan. It returns errNotCanonical when the
+// body falls outside the subset; the caller then runs decodeRequestJSON,
+// whose answer on a canonical body this one equals (FuzzWireDecode checks
+// it).
+func readCanonicalRequest(body []byte) (req *SolveRequest, g *taskgraph.Graph, err error) {
+	req = new(SolveRequest)
+	r := canonjson.NewReader(body)
+	var seen uint64
+	hasGraph := false
+	for more := r.Open('{'); more; more = r.Next('{') {
+		switch string(r.Key()) {
+		case "solver":
+			r.Once(&seen, 0)
+			req.Solver = r.Str()
+		case "arch":
+			r.Once(&seen, 1)
+			req.Arch = r.Str()
+		case "graph":
+			r.Once(&seen, 2)
+			start := r.Offset()
+			g, err = taskgraph.ReadCanonical(r)
+			req.Graph = json.RawMessage(body[start:r.Offset()])
+			hasGraph = true
+		case "module_reuse":
+			r.Once(&seen, 3)
+			req.ModuleReuse = r.Bool()
+		case "skip_floorplan":
+			r.Once(&seen, 4)
+			req.SkipFloorplan = r.Bool()
+		case "seed":
+			r.Once(&seen, 5)
+			req.Seed = r.Int64()
+		case "search_workers":
+			r.Once(&seen, 6)
+			req.SearchWorkers = r.Int()
+		case "max_iterations":
+			r.Once(&seen, 7)
+			req.MaxIterations = r.Int()
+		case "time_budget_ms":
+			r.Once(&seen, 8)
+			req.TimeBudgetMS = r.Int64()
+		case "max_nodes":
+			r.Once(&seen, 9)
+			req.MaxNodes = r.Int()
+		case "timeout_ms":
+			r.Once(&seen, 10)
+			req.TimeoutMS = r.Int64()
+		case "include_schedule":
+			r.Once(&seen, 11)
+			req.IncludeSchedule = r.Bool()
+		default:
+			r.Decline()
+		}
+	}
+	if !r.Done() {
+		return nil, nil, errNotCanonical
+	}
+	if req.Solver == "" {
+		req.Solver = "robust"
+	}
+	if !hasGraph {
+		return nil, nil, fmt.Errorf("request has no graph")
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return req, g, nil
 }
 
 // options assembles the solver options for a request. Budget, Faults,
@@ -167,11 +274,13 @@ func buildResponse(req *SolveRequest, ranSolver, shedFrom string, degraded bool,
 		resp.Rung = res.Ladder.Rung.String()
 	}
 	if req.IncludeSchedule && res.Schedule != nil {
-		var buf bytes.Buffer
-		if err := res.Schedule.WriteJSON(&buf); err != nil {
+		// Compact: encoding/json compacts a RawMessage on output, so an
+		// indented schedule would reach the wire byte-identical anyway.
+		sch, err := res.Schedule.CompactJSON()
+		if err != nil {
 			return nil, err
 		}
-		resp.Schedule = json.RawMessage(buf.Bytes())
+		resp.Schedule = sch
 	}
 	return resp, nil
 }

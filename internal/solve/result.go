@@ -49,6 +49,10 @@ type Result struct {
 	// now stored). Empty when no cache was in the path — the zero value
 	// keeps uncached reports byte-identical to their pre-cache output.
 	Cache string
+	// CacheTime is the time the caching decorator spent before handing the
+	// request to the solver (or answering a hit): keying, the lookup and
+	// the warm-start probes. Zero when no cache was in the path.
+	CacheTime time.Duration
 }
 
 // SearchStats describes a PA-R search.

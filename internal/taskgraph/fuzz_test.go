@@ -2,13 +2,16 @@ package taskgraph
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"resched/internal/resources"
 )
 
-// FuzzLoadGraphJSON fuzzes the JSON loader with arbitrary bytes. Three
-// properties are enforced: the loader never panics; any graph it accepts
+// FuzzLoadGraphJSON fuzzes the JSON loader with arbitrary bytes. Four
+// properties are enforced: the loader never panics; it returns the same
+// graph and the same error as the encoding/json path alone (decodeJSON),
+// whether or not the canonical reader took the input; any graph it accepts
 // satisfies Validate (the §III structural assumptions) and survives a
 // marshal/reload round trip unchanged in shape; and its per-adjacency
 // communication times agree with EdgeComm before and after the round trip.
@@ -33,8 +36,19 @@ func FuzzLoadGraphJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","tasks":[{"name":"t","impls":[{"name":"i","kind":"XX","time":1}]}]}`))
 	f.Add([]byte(`{"name":"x","tasks":[],"edges":[[0,1]]}`))
 
+	f.Add([]byte(`{"name":"x","tasks":[{"name":"t","impls":[{"name":"i","kind":"SW","time":1}]}],"edges":[],"comm":[]}`))
+	f.Add([]byte(`{"name":"x","tasks":[{"name":"t","impls":[{"name":"i","kind":"SW","time":1e2}]}]}`))
+	f.Add([]byte(`{"name":"x","Name":"y","tasks":[{"name":"t","impls":[{"name":"\u0069","kind":"SW","time":1}]}]} trailing`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Read(bytes.NewReader(data))
+		want, werr := decodeJSON(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("Read error %v, encoding/json path %v", err, werr)
+		}
+		if !reflect.DeepEqual(loaded, want) {
+			t.Fatalf("Read and the encoding/json path decode different graphs")
+		}
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
 		}

@@ -3,11 +3,15 @@ package taskgraph
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
+	"resched/internal/canonjson"
 	"resched/internal/resources"
 )
 
@@ -559,5 +563,65 @@ func TestCommAlignment(t *testing.T) {
 	edges, comm := g.EdgesComm()
 	if !reflect.DeepEqual(edges, want) || !reflect.DeepEqual(comm, wantComm) {
 		t.Fatalf("EdgesComm = %v %v, want %v %v", edges, comm, want, wantComm)
+	}
+}
+
+// TestDecodeTakesCanonicalPath: MarshalJSON and Write output is read by
+// the canonical reader, not by encoding/json, and both paths build the
+// same graph from it.
+func TestDecodeTakesCanonicalPath(t *testing.T) {
+	g := New("canon")
+	g.AddTask("a",
+		Implementation{Name: "a_sw", Kind: SW, Time: 100},
+		Implementation{Name: "a_hw", Kind: HW, Time: 10, Res: resources.Vec(100, 1, 2)})
+	g.AddTask("b", Implementation{Name: "b_sw", Kind: SW, Time: 5})
+	g.AddTask("c", Implementation{Name: "c_sw", Kind: SW, Time: 7})
+	for _, e := range [][3]int64{{0, 1, 7}, {0, 2, 0}, {1, 2, 3}} {
+		if err := g.AddEdgeComm(int(e[0]), int(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compact, err := g.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := g.Write(&indented); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{compact, indented.Bytes()} {
+		r := canonjson.NewReader(data)
+		fast, err := ReadCanonical(r)
+		if err != nil || !r.Done() {
+			t.Fatalf("canonical reader declined or failed (%v) on %s", err, data)
+		}
+		slow, err := decodeJSON(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast, slow) || !reflect.DeepEqual(fast, g) {
+			t.Fatalf("canonical reader built a different graph from %s", data)
+		}
+	}
+}
+
+// TestReadReplaysReadErrors: when the reader fails, Read answers as the
+// decoder over the same reader did: a value complete before the failure
+// still decodes, a cut one reports the read error.
+func TestReadReplaysReadErrors(t *testing.T) {
+	boom := errors.New("boom")
+	failAfter := func(data string) io.Reader {
+		return io.MultiReader(strings.NewReader(data), iotest.ErrReader(boom))
+	}
+	for _, data := range []string{
+		`{"name":"x","tasks":[{"name":"t","impls":[{"name":"i","kind":"SW","time":1}]}]}`,
+		`{"name":"x","ta`,
+		``,
+	} {
+		g, err := Read(failAfter(data))
+		wg, werr := decodeJSON(failAfter(data))
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) || !reflect.DeepEqual(g, wg) {
+			t.Errorf("%q: Read = (%v, %v), decoder = (%v, %v)", data, g, err, wg, werr)
+		}
 	}
 }
