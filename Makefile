@@ -51,15 +51,16 @@ solvecheck:
 	$(GO) run ./cmd/reschedvet -analyzers solvecheck ./...
 
 # fuzz runs each native fuzz target for a short budget (override with
-# FUZZTIME=5s for a CI smoke). The checked-in seed corpora under
-# testdata/fuzz also execute during the plain test suite, so regressions on
-# known inputs are caught without this target.
+# FUZZTIME=5s for a CI smoke). Minimizing a new interesting input is capped
+# at 2 s, so it cannot eat the budget (Go's default allows 60 s). The
+# checked-in seed corpora under testdata/fuzz also execute during the plain
+# test suite, so regressions on known inputs are caught without this target.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoadGraphJSON -fuzztime $(FUZZTIME) ./internal/taskgraph
-	$(GO) test -run '^$$' -fuzz FuzzCheckSchedule -fuzztime $(FUZZTIME) ./internal/schedule
-	$(GO) test -run '^$$' -fuzz FuzzIncrementalTiming -fuzztime $(FUZZTIME) ./internal/cpm
-	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadGraphJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/taskgraph
+	$(GO) test -run '^$$' -fuzz FuzzCheckSchedule -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/schedule
+	$(GO) test -run '^$$' -fuzz FuzzIncrementalTiming -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/cpm
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/serve
 
 # bench runs the Table I suite (plus the PA-R worker-scaling benchmarks,
 # the nil-trace overhead guard, the floorplanner and IS-k window layer

@@ -3,7 +3,7 @@
 //
 // Regions are given as comma-separated CLB:BRAM:DSP triples, e.g.
 //
-//	floorplan -regions 800:0:20,400:10:0,1200:0:0 [-method milp]
+//	floorplan -regions 800:0:20,400:10:0,1200:0:0 [-svg out.svg]
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 func main() {
 	var (
 		regionsArg = flag.String("regions", "", "comma-separated CLB:BRAM:DSP region requirements (required)")
-		method     = flag.String("method", "backtracking", "placement engine: backtracking or milp")
 		svgPath    = flag.String("svg", "", "write the floorplan as SVG")
 	)
 	flag.Parse()
@@ -37,19 +36,9 @@ func main() {
 		regions = append(regions, resources.Vec(clb, bram, dsp))
 	}
 
-	opts := floorplan.Options{}
-	switch *method {
-	case "backtracking":
-		opts.Method = floorplan.Backtracking
-	case "milp":
-		opts.Method = floorplan.MILP
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
-	}
-
 	a := arch.ZedBoard()
 	fmt.Printf("fabric: %s (capacity %v)\n", a.Fabric, a.Fabric.Capacity())
-	res, err := floorplan.Solve(a.Fabric, regions, opts)
+	res, err := floorplan.Solve(a.Fabric, regions, floorplan.Options{})
 	if err != nil {
 		fatal(err)
 	}

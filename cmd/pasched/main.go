@@ -9,7 +9,7 @@
 //	pasched -graph app.json [-algo pa|par|is1|is5|exact|robust]
 //	        [-budget 2s] [-iterations 0] [-reuse] [-gantt] [-dot out.dot]
 //	        [-seed 1] [-workers 0] [-timeout 0] [-maxnodes 0]
-//	        [-fault-floorplan-infeasible N] [-fault-milp-limit N]
+//	        [-fault-floorplan-infeasible N]
 //	        [-trace trace.json] [-metrics metrics.json] [-events events.json]
 //	        [-serve-debug :8080]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -112,7 +112,6 @@ func run() (retErr error) {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 		maxNodes = flag.Int64("maxnodes", 0, "search-node budget across all solves (0 = unlimited)")
 		faultFP  = flag.Int("fault-floorplan-infeasible", 0, "inject: force the next N floorplan solves infeasible (-1 = all)")
-		faultML  = flag.Int("fault-milp-limit", 0, "inject: force the next N MILP solves to stop at their limit (-1 = all)")
 
 		cacheEntries = flag.Int("cache-entries", 0, "schedule-cache capacity (0 = no caching); repeated identical runs return the cached result, near-misses warm-start the solver")
 	)
@@ -203,15 +202,10 @@ func run() (retErr error) {
 		bud = budget.New(budget.Options{Timeout: *timeout, MaxNodes: *maxNodes, Trace: trace})
 	}
 	var faults *faultinject.Set
-	if *faultFP != 0 || *faultML != 0 {
+	if *faultFP != 0 {
 		faults = faultinject.New()
 		faults.SetTrace(trace)
-		if *faultFP != 0 {
-			faults.ForceFloorplanInfeasible(*faultFP)
-		}
-		if *faultML != 0 {
-			faults.ForceMILPLimit(*faultML)
-		}
+		faults.ForceFloorplanInfeasible(*faultFP)
 	}
 
 	req := &solve.Request{

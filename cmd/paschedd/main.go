@@ -8,7 +8,6 @@
 //	         [-max-budget 30s] [-drain-budget 10s] [-max-sessions 8]
 //	         [-trace trace.json] [-metrics metrics.json] [-events events.json]
 //	         [-fault-queue-full N] [-fault-floorplan-infeasible N]
-//	         [-fault-milp-limit N]
 //
 // Endpoints: POST /solve for stateless instances, POST /session/open,
 // /session/submit and /session/close for rolling-horizon online scheduling
@@ -63,7 +62,6 @@ func run() error {
 	eventsPath := flag.String("events", "", "write flight-recorder JSON here on drain")
 	faultQF := flag.Int("fault-queue-full", 0, "force the next N admissions to shed with 429 (-1 = all)")
 	faultFP := flag.Int("fault-floorplan-infeasible", 0, "force the next N floorplan solves infeasible (-1 = all)")
-	faultML := flag.Int("fault-milp-limit", 0, "force the next N MILP solves to stop at their limit (-1 = all)")
 	cacheEntries := flag.Int("cache-entries", 256, "schedule-cache capacity (0 = disable caching)")
 	flag.Parse()
 
@@ -76,7 +74,7 @@ func run() error {
 
 	trace := obs.New()
 	var faults *faultinject.Set
-	if *faultQF != 0 || *faultFP != 0 || *faultML != 0 {
+	if *faultQF != 0 || *faultFP != 0 {
 		faults = faultinject.New()
 		faults.SetTrace(trace)
 		if *faultQF != 0 {
@@ -84,9 +82,6 @@ func run() error {
 		}
 		if *faultFP != 0 {
 			faults.ForceFloorplanInfeasible(*faultFP)
-		}
-		if *faultML != 0 {
-			faults.ForceMILPLimit(*faultML)
 		}
 		fmt.Fprintf(os.Stderr, "paschedd: faults armed: %v\n", faults.Armed())
 	}

@@ -1,7 +1,7 @@
 // Package budget unifies the resource limits of the scheduling pipeline —
 // wall-clock deadlines, search-node caps and cooperative cancellation —
-// behind a single Budget type threaded through milp.Options,
-// floorplan.Options, sched.Options/RandomOptions and isk.Options.
+// behind a single Budget type threaded through floorplan.Options,
+// sched.Options/RandomOptions and isk.Options.
 //
 // Before this package each solver rolled its own deadline idiom with direct
 // time.Now() comparisons; the reschedvet rawclock analyzer now rejects that

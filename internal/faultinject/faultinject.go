@@ -1,12 +1,13 @@
 // Package faultinject provides deterministic fault hooks for driving the
 // resilience paths of the scheduling pipeline on demand: forcing the next N
-// floorplan solves to report infeasible, forcing MILP solves to stop with a
-// Limit status, and injecting artificial solver latency on a hand-advanced
-// clock. A Set is plugged through milp.Options, floorplan.Options,
-// sched.Options/RandomOptions and isk.Options, so a test (or a pasched
-// -fault-* flag) can exercise every rung of the sched.Robust degradation
-// ladder and every cancellation path without constructing a pathological
-// instance.
+// floorplan solves to report infeasible, injecting artificial solver latency
+// on a hand-advanced clock, forcing serving-path admissions to shed and
+// delaying online job arrivals. A Set is plugged through floorplan.Options,
+// sched.Options/RandomOptions, isk.Options, the serving config and the
+// online engine, so a test (or a pasched -fault-* flag) can exercise every
+// rung of the sched.Robust degradation ladder and every cancellation path
+// without constructing a pathological instance. Every armable fault has a
+// hook on a production path: FloorplanSolve, ServeDispatch or LateArrival.
 //
 // Every fault is counted, never random: "next 3 solves" means exactly the
 // next 3 solves in the solver's deterministic call order, which keeps
@@ -60,7 +61,6 @@ func (c *Clock) Advance(d time.Duration) {
 // Fault names used by Armed and Fired.
 const (
 	FaultFloorplanInfeasible = "floorplan-infeasible"
-	FaultMILPLimit           = "milp-limit"
 	FaultSolverLatency       = "solver-latency"
 	FaultServeLatency        = "serve-latency"
 	FaultServeQueueFull      = "serve-queue-full"
@@ -73,7 +73,6 @@ const (
 type Set struct {
 	mu           sync.Mutex
 	fpInfeasible int // remaining forced-infeasible floorplan solves; <0 = every solve
-	milpLimit    int // remaining forced-Limit MILP solves; <0 = every solve
 	queueFull    int // remaining forced queue-full admissions; <0 = every admission
 	lateArrival  int // remaining forced-late job arrivals; <0 = every arrival
 	lateDelay    int64
@@ -96,14 +95,6 @@ func (s *Set) ForceFloorplanInfeasible(n int) {
 	s.fpInfeasible = n
 }
 
-// ForceMILPLimit arms the next n MILP solves to stop immediately with a
-// Limit status; n < 0 means every solve.
-func (s *Set) ForceMILPLimit(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.milpLimit = n
-}
-
 // SetTrace routes every subsequent fault firing into tr's flight recorder
 // as a "fault.injected" event tagged with the fault name and its running
 // count, so a degraded run's event tail shows which rung failures were
@@ -114,7 +105,7 @@ func (s *Set) SetTrace(tr *obs.Trace) {
 	s.trace = tr
 }
 
-// SetSolverLatency makes every floorplan and MILP solve advance clk by d,
+// SetSolverLatency makes every floorplan solve advance clk by d,
 // simulating a slow solver against budget deadlines on the same clock.
 func (s *Set) SetSolverLatency(d time.Duration, clk *Clock) {
 	s.mu.Lock()
@@ -178,8 +169,8 @@ func (s *Set) SetServeLatency(d time.Duration, clk *Clock) {
 
 // ServeDispatch is the serving-path hook, consumed once per request before
 // admission control: it applies armed ingress latency and reports whether
-// the admission must be treated as queue-full. Solver-side hooks
-// (FloorplanSolve, MILPSolve) stay untouched, so chaos tests exercise the
+// the admission must be treated as queue-full. The solver-side hook
+// (FloorplanSolve) stays untouched, so chaos tests exercise the
 // serving path without reaching into solver options. Nil-safe.
 func (s *Set) ServeDispatch() (forceQueueFull bool) {
 	if s == nil {
@@ -210,7 +201,10 @@ func (s *Set) FloorplanSolve() bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.applyLatencyLocked()
+	if s.latency > 0 && s.clock != nil {
+		s.clock.Advance(s.latency)
+		s.recordLocked(FaultSolverLatency)
+	}
 	if s.fpInfeasible == 0 {
 		return false
 	}
@@ -219,33 +213,6 @@ func (s *Set) FloorplanSolve() bool {
 	}
 	s.recordLocked(FaultFloorplanInfeasible)
 	return true
-}
-
-// MILPSolve is the hook consumed at the top of every MILP solve. It applies
-// armed latency and reports whether the solve must stop with Limit status.
-// Nil-safe.
-func (s *Set) MILPSolve() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.applyLatencyLocked()
-	if s.milpLimit == 0 {
-		return false
-	}
-	if s.milpLimit > 0 {
-		s.milpLimit--
-	}
-	s.recordLocked(FaultMILPLimit)
-	return true
-}
-
-func (s *Set) applyLatencyLocked() {
-	if s.latency > 0 && s.clock != nil {
-		s.clock.Advance(s.latency)
-		s.recordLocked(FaultSolverLatency)
-	}
 }
 
 func (s *Set) recordLocked(name string) {
@@ -270,9 +237,6 @@ func (s *Set) Armed() []string {
 	var names []string
 	if s.fpInfeasible != 0 {
 		names = append(names, FaultFloorplanInfeasible)
-	}
-	if s.milpLimit != 0 {
-		names = append(names, FaultMILPLimit)
 	}
 	if s.latency > 0 && s.clock != nil {
 		names = append(names, FaultSolverLatency)

@@ -8,13 +8,13 @@ import (
 
 func TestNilSetIsInert(t *testing.T) {
 	var s *Set
-	if s.FloorplanSolve() || s.MILPSolve() {
+	if _, late := s.LateArrival(); s.FloorplanSolve() || s.ServeDispatch() || late {
 		t.Fatal("nil set fired a fault")
 	}
 	if got := s.Armed(); len(got) != 0 {
 		t.Fatalf("nil set Armed = %v", got)
 	}
-	if s.Fired(FaultMILPLimit) != 0 {
+	if s.Fired(FaultFloorplanInfeasible) != 0 {
 		t.Fatal("nil set reports fired faults")
 	}
 }
@@ -41,19 +41,8 @@ func TestForceForever(t *testing.T) {
 			t.Fatalf("solve %d not stolen with n=-1", i)
 		}
 	}
-	if s.MILPSolve() {
-		t.Fatal("milp solve stolen without arming")
-	}
-}
-
-func TestForceMILPLimit(t *testing.T) {
-	s := New()
-	s.ForceMILPLimit(1)
-	if !s.MILPSolve() {
-		t.Fatal("armed milp solve not stolen")
-	}
-	if s.MILPSolve() {
-		t.Fatal("second milp solve stolen after arming 1")
+	if s.ServeDispatch() {
+		t.Fatal("admission stolen without arming")
 	}
 }
 
@@ -63,7 +52,7 @@ func TestSolverLatencyAdvancesClock(t *testing.T) {
 	s := New()
 	s.SetSolverLatency(50*time.Millisecond, clk)
 	s.FloorplanSolve()
-	s.MILPSolve()
+	s.FloorplanSolve()
 	if got := clk.Now().Sub(start); got != 100*time.Millisecond {
 		t.Fatalf("clock advanced %v, want 100ms", got)
 	}
@@ -91,16 +80,16 @@ func TestArmedIsSortedAndLive(t *testing.T) {
 	s := New()
 	clk := NewClock()
 	s.SetSolverLatency(time.Millisecond, clk)
-	s.ForceMILPLimit(1)
-	s.ForceFloorplanInfeasible(3)
-	want := []string{FaultFloorplanInfeasible, FaultMILPLimit, FaultSolverLatency}
+	s.ForceLateArrival(3, 10)
+	s.ForceFloorplanInfeasible(1)
+	want := []string{FaultFloorplanInfeasible, FaultLateArrival, FaultSolverLatency}
 	if got := s.Armed(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Armed = %v, want %v", got, want)
 	}
-	s.MILPSolve() // consumes the single armed milp fault
-	want = []string{FaultFloorplanInfeasible, FaultSolverLatency}
+	s.FloorplanSolve() // consumes the single armed floorplan fault
+	want = []string{FaultLateArrival, FaultSolverLatency}
 	if got := s.Armed(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Armed after consuming milp fault = %v, want %v", got, want)
+		t.Fatalf("Armed after consuming floorplan fault = %v, want %v", got, want)
 	}
 }
 

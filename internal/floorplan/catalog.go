@@ -56,8 +56,7 @@ type entry struct {
 // tables.
 type candSet struct {
 	cands []Placement
-	// words is the bitset length of the full candidate list; capped views
-	// read a prefix of each row.
+	// words is the bitset length of the candidate list.
 	words int
 	// tabs holds four prefix-bitset tables, words words per row; bit j of
 	// a row stands for cands[j]:

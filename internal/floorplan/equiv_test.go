@@ -83,7 +83,6 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) (re
 		return res, false
 	}
 	cands := make([][]Placement, len(regions))
-	capped := false
 	for i, r := range regions {
 		cands[i] = referenceEnumerate(f, r)
 		if len(cands[i]) == 0 {
@@ -100,10 +99,6 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) (re
 			}
 			return pa.Y0 < pb.Y0
 		})
-		if opt.MaxCandidates > 0 && len(cands[i]) > opt.MaxCandidates {
-			cands[i] = cands[i][:opt.MaxCandidates]
-			capped = true
-		}
 	}
 
 	words := (f.Width() + 63) / 64
@@ -224,7 +219,7 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) (re
 		res.Placements = chosen
 		return res, false
 	}
-	res.Proven = !aborted && !capped
+	res.Proven = !aborted
 	return res, clashAbort
 }
 
@@ -274,7 +269,7 @@ func randomRequirement(rng *rand.Rand, capacity resources.Vector, frac float64) 
 
 // Property: the prefix-table search returns exactly the reference search's
 // Result — verdict, proof status, placements and node count — on random
-// region sets, including node-capped and candidate-capped runs.
+// region sets, including node-capped runs.
 func TestBacktrackingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, nf := range equivFabrics(t) {
@@ -289,9 +284,6 @@ func TestBacktrackingMatchesReference(t *testing.T) {
 				regions[i] = randomRequirement(rng, capacity, 2*frac)
 			}
 			opt := Options{MaxNodes: 5000}
-			if trial%4 == 3 {
-				opt.MaxCandidates = 1 + rng.Intn(20)
-			}
 			got, err := Solve(f, regions, opt)
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", name, trial, err)
@@ -311,9 +303,8 @@ func TestBacktrackingMatchesReference(t *testing.T) {
 // that drifts, so within a sequence they repeat inside a call, carry over
 // in the catalog from the previous call, drop out of it and come back: the
 // catalog's entry generation is rotated before every call, so a class two
-// calls without use is evicted. Calls mix candidate caps (the search must
-// stop at the capped view), node caps and budget caps small enough to
-// abort inside a skipped run, and the MILP method.
+// calls without use is evicted. Calls mix node caps and budget caps small
+// enough to abort inside a skipped run.
 func TestPlannerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var clashAborts, carried, returned, evicted int
@@ -339,21 +330,13 @@ func TestPlannerMatchesReference(t *testing.T) {
 			}
 			var opt Options
 			var budgetCap int64
-			switch call % 5 {
+			switch call % 3 {
 			case 0:
 				opt.MaxNodes = 5000
 			case 1:
-				opt.MaxNodes, opt.MaxCandidates = 5000, 1+rng.Intn(20)
-			case 2:
 				opt.MaxNodes = 1 + rng.Intn(300)
-			case 3:
+			case 2:
 				budgetCap = 1 + rng.Int63n(400)
-			case 4:
-				if len(regions) <= 3 {
-					opt.Method, opt.MaxCandidates = MILP, 1+rng.Intn(8)
-				} else {
-					opt.MaxNodes = 5000
-				}
 			}
 			// Each search gets its own budget: they must all see the same cap.
 			withBudget := func() Options {
@@ -385,15 +368,13 @@ func TestPlannerMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, fresh) {
 				t.Fatalf("%s call %d regions %v opt %+v:\nplanner %+v\n  fresh %+v", name, call, regions, opt, got, fresh)
 			}
-			if opt.Method == Backtracking {
-				want, clashAbort := referenceSolve(f, regions, withBudget())
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s call %d regions %v opt %+v budget cap %d:\nplanner   %+v\nreference %+v",
-						name, call, regions, opt, budgetCap, got, want)
-				}
-				if clashAbort {
-					clashAborts++
-				}
+			want, clashAbort := referenceSolve(f, regions, withBudget())
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s call %d regions %v opt %+v budget cap %d:\nplanner   %+v\nreference %+v",
+					name, call, regions, opt, budgetCap, got, want)
+			}
+			if clashAbort {
+				clashAborts++
 			}
 
 			// The catalog holds every class of a call that searched, within

@@ -7,10 +7,9 @@
 // requirement), then search for a pairwise-disjoint selection, one placement
 // per region.
 //
-// Two selection engines are provided: a backtracking search (default, exact
-// over the full placement sets) and a MILP formulation solved by the
-// in-repo branch-and-bound solver, mirroring the MILP of ref [3]. As in
-// §V-H of the paper, only feasibility is queried — no objective function.
+// Where ref [3] solves a MILP over those placement sets, the selection here
+// is one backtracking search, exact over the full sets. As in §V-H of the
+// paper, only feasibility is queried — no objective function.
 package floorplan
 
 import (
@@ -140,37 +139,8 @@ func minimalSpans(f *arch.Fabric, req resources.Vector, visit func(x0, x1, h int
 	}
 }
 
-// Method selects the placement-search engine.
-type Method int
-
-const (
-	// Backtracking is the exact DFS search over full placement sets.
-	Backtracking Method = iota
-	// MILP builds the 0/1 selection model of ref [3] and solves it with
-	// the in-repo branch-and-bound solver.
-	MILP
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case Backtracking:
-		return "backtracking"
-	case MILP:
-		return "milp"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // Options tune the search.
 type Options struct {
-	Method Method
-	// MaxCandidates caps the number of placements considered per region
-	// (0 = defaults: unlimited for backtracking, 40 for MILP). Capping
-	// trades completeness for speed; an infeasible answer under a cap is
-	// reported as unproven.
-	MaxCandidates int
 	// MaxNodes caps search nodes in this solve (0 = 200 000).
 	MaxNodes int
 	// Budget, when non-nil, is charged one unit per search node; exhaustion
@@ -181,8 +151,8 @@ type Options struct {
 	// Faults, when armed, can steal the solve: a forced floorplan fault
 	// reports infeasible-unproven without searching.
 	Faults *faultinject.Set
-	// Trace, when non-nil, records a floorplan.solve span (method, region
-	// count, outcome, node count) and feasibility counters per invocation.
+	// Trace, when non-nil, records a floorplan.solve span (region count,
+	// outcome, node count) and feasibility counters per invocation.
 	// A nil trace is a no-op.
 	Trace *obs.Trace
 }
@@ -193,7 +163,7 @@ type Result struct {
 	Feasible bool
 	// Proven is true when the answer is exact: a found assignment is
 	// always proven; an infeasibility verdict is proven only if the search
-	// completed without hitting a candidate cap, node cap or deadline.
+	// completed without hitting the node cap or the budget.
 	Proven bool
 	// Placements holds one rectangle per region when Feasible.
 	Placements []Placement

@@ -1,13 +1,13 @@
 package floorplan
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"resched/internal/arch"
 	"resched/internal/budget"
 	"resched/internal/faultinject"
+	"resched/internal/obs"
 	"resched/internal/resources"
 )
 
@@ -111,7 +111,7 @@ func TestSolveRejectsBadRegions(t *testing.T) {
 	}
 }
 
-func TestSolveSimpleBothMethods(t *testing.T) {
+func TestSolveSimple(t *testing.T) {
 	f := zynq()
 	regions := []resources.Vector{
 		resources.Vec(400, 0, 0),
@@ -119,17 +119,15 @@ func TestSolveSimpleBothMethods(t *testing.T) {
 		resources.Vec(100, 0, 20),
 		resources.Vec(600, 10, 20),
 	}
-	for _, m := range []Method{Backtracking, MILP} {
-		res, err := Solve(f, regions, Options{Method: m})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !res.Feasible {
-			t.Fatalf("%v: feasible instance reported infeasible", m)
-		}
-		if err := Verify(f, regions, res.Placements); err != nil {
-			t.Fatalf("%v: invalid placements: %v", m, err)
-		}
+	res, err := Solve(f, regions, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Fatal("feasible instance reported infeasible")
+	}
+	if err := Verify(f, regions, res.Placements); err != nil {
+		t.Fatalf("invalid placements: %v", err)
 	}
 }
 
@@ -171,7 +169,7 @@ func TestSolveTightPacking(t *testing.T) {
 	for i := 0; i < 44; i++ {
 		regions = append(regions, resources.Vec(300, 0, 0))
 	}
-	res, err := Solve(f, regions, Options{Method: Backtracking})
+	res, err := Solve(f, regions, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,56 +182,12 @@ func TestSolveTightPacking(t *testing.T) {
 	// One more region cannot fit (all CLB columns used, BRAM/DSP columns
 	// provide no CLB).
 	regions = append(regions, resources.Vec(100, 0, 0))
-	res, err = Solve(f, regions, Options{Method: Backtracking})
+	res, err = Solve(f, regions, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Feasible {
 		t.Error("overpacked instance reported feasible")
-	}
-}
-
-// Cross-check the two engines on random instances.
-func TestBacktrackingVsMILP(t *testing.T) {
-	f := zynq()
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 25; trial++ {
-		n := 1 + rng.Intn(5)
-		var regions []resources.Vector
-		for i := 0; i < n; i++ {
-			regions = append(regions, resources.Vec(
-				100*(1+rng.Intn(8)),
-				10*rng.Intn(3),
-				20*rng.Intn(2)))
-		}
-		bt, err := Solve(f, regions, Options{Method: Backtracking})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mi, err := Solve(f, regions, Options{Method: MILP, MaxCandidates: 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// MILP candidates are capped, so it may miss solutions the exact
-		// search finds — but it must never contradict a proven verdict.
-		if mi.Feasible && !bt.Feasible && bt.Proven {
-			t.Fatalf("trial %d: MILP feasible but backtracking proved infeasible", trial)
-		}
-		if bt.Feasible != mi.Feasible && mi.Proven && bt.Proven && !mi.Feasible && bt.Feasible {
-			// MILP proven infeasible under a cap is demoted to unproven by
-			// Solve, so reaching here means a real contradiction.
-			t.Fatalf("trial %d: engines disagree with proofs (bt=%v milp=%v)", trial, bt.Feasible, mi.Feasible)
-		}
-		if bt.Feasible {
-			if err := Verify(f, regions, bt.Placements); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-		if mi.Feasible {
-			if err := Verify(f, regions, mi.Placements); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
 	}
 }
 
@@ -303,7 +257,7 @@ func TestPlacementHelpers(t *testing.T) {
 	if a.Area() != 2 {
 		t.Errorf("Area = %d", a.Area())
 	}
-	if a.String() == "" || Backtracking.String() != "backtracking" || MILP.String() != "milp" {
+	if a.String() == "" {
 		t.Error("string helpers")
 	}
 }
@@ -363,4 +317,42 @@ func TestBudgetMidSearchNotProven(t *testing.T) {
 			t.Errorf("cancelled budget explored %d nodes", res.Nodes)
 		}
 	})
+}
+
+// floorplan.unproven counts the "no" answers a node cap or the budget cut
+// short, and nothing else: not a proven "no", not a "yes", not a forced
+// fault (those count as floorplan.faults).
+func TestUnprovenCounter(t *testing.T) {
+	f := zynq()
+	tight := make([]resources.Vector, 30)
+	for i := range tight {
+		tight[i] = resources.Vec(300, 0, 0)
+	}
+	cancelled := budget.New(budget.Options{})
+	cancelled.Cancel()
+	forced := faultinject.New()
+	forced.ForceFloorplanInfeasible(1)
+	cases := []struct {
+		name    string
+		regions []resources.Vector
+		opt     Options
+		want    int64
+	}{
+		{"node cap", tight, Options{MaxNodes: 1}, 1},
+		{"budget", tight, Options{Budget: cancelled}, 1},
+		{"proven no", []resources.Vector{f.Capacity(), resources.Vec(100, 0, 0)}, Options{}, 0},
+		{"feasible", tight, Options{}, 0},
+		{"fault", tight, Options{Faults: forced}, 0},
+	}
+	for _, c := range cases {
+		tr := obs.New()
+		c.opt.Trace = tr
+		res, err := Solve(f, c.regions, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := tr.Snapshot().Counters["floorplan.unproven"]; got != c.want {
+			t.Errorf("%s: floorplan.unproven = %d, want %d (feasible=%v proven=%v)", c.name, got, c.want, res.Feasible, res.Proven)
+		}
+	}
 }

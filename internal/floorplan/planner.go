@@ -34,8 +34,7 @@ func NewPlanner(f *arch.Fabric) *Planner {
 // fabric, as the package-level Solve does. Regions with zero requirements
 // are rejected.
 func (p *Planner) Solve(regions []resources.Vector, opt Options) (*Result, error) {
-	sp := opt.Trace.Start("floorplan.solve",
-		obs.Str("method", opt.Method.String()), obs.Int("regions", int64(len(regions))))
+	sp := opt.Trace.Start("floorplan.solve", obs.Int("regions", int64(len(regions))))
 	if opt.Faults.FloorplanSolve() {
 		opt.Trace.Count("floorplan.calls", 1)
 		opt.Trace.Count("floorplan.infeasible", 1)
@@ -58,6 +57,8 @@ func (p *Planner) Solve(regions []resources.Vector, opt Options) (*Result, error
 		opt.Trace.Count("floorplan.nodes", int64(res.Nodes))
 		outcome := "infeasible"
 		if !res.Proven {
+			// Only the node cap or the budget leaves a "no" unproven.
+			opt.Trace.Count("floorplan.unproven", 1)
 			outcome = "infeasible-unproven"
 		}
 		sp.End(obs.Str("outcome", outcome), obs.Int("nodes", int64(res.Nodes)))
@@ -98,12 +99,8 @@ func (p *Planner) solve(regions []resources.Vector, opt Options) (*Result, error
 	}
 	cat := CatalogOf(f)
 
-	limit := opt.MaxCandidates
-	if limit == 0 && opt.Method == MILP {
-		limit = 40
-	}
 	sets := make([]candSet, len(regions))
-	capped, fits := false, true
+	fits := true
 	var built, reused int64
 	for i, r := range regions {
 		s, miss := cat.candidates(cat.needKey(r))
@@ -116,10 +113,6 @@ func (p *Planner) solve(regions []resources.Vector, opt Options) (*Result, error
 			fits = false
 			break
 		}
-		if limit > 0 && len(s.cands) > limit {
-			s.cands = s.cands[:limit]
-			capped = true
-		}
 		sets[i] = s
 	}
 	opt.Trace.Count("floorplan.candsets_built", built)
@@ -130,26 +123,7 @@ func (p *Planner) solve(regions []resources.Vector, opt Options) (*Result, error
 		res.Elapsed = time.Since(start)
 		return res, nil
 	}
-
-	var err error
-	switch opt.Method {
-	case Backtracking:
-		p.solveBacktracking(regions, sets, cat.kindCols, opt, res)
-	case MILP:
-		cands := make([][]Placement, len(sets))
-		for i, s := range sets {
-			cands[i] = s.cands
-		}
-		err = solveMILP(f, regions, cands, opt, res)
-	default:
-		return nil, fmt.Errorf("floorplan: unknown method %v", opt.Method)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !res.Feasible && capped {
-		res.Proven = false
-	}
+	p.solveBacktracking(regions, sets, cat.kindCols, opt, res)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

@@ -1,13 +1,9 @@
 package floorplan
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
-	"resched/internal/arch"
-	"resched/internal/lp"
-	"resched/internal/milp"
 	"resched/internal/resources"
 )
 
@@ -68,11 +64,10 @@ func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, 
 	width, rows := f.Width(), f.Rows
 	freeCells := kindCols[width].Scale(rows)
 
-	// One clash bitset per depth, covering the depth's (possibly capped)
-	// candidate view.
+	// One clash bitset per depth, covering the depth's candidates.
 	offset := make([]int, len(order)+1)
 	for k, region := range order {
-		offset[k+1] = offset[k] + (len(sets[region].cands)+63)/64
+		offset[k+1] = offset[k] + sets[region].words
 	}
 	if cap(p.clash) < offset[len(order)] {
 		p.clash = make([]uint64, offset[len(order)])
@@ -166,91 +161,4 @@ func nextFree(clash []uint64, j, n int) int {
 		}
 	}
 	return n
-}
-
-// solveMILP builds the 0/1 selection model of ref [3]: one binary variable
-// per (region, candidate placement), an exactly-one row per region, and an
-// at-most-one row per fabric cell covered by at least two candidates.
-func solveMILP(f *arch.Fabric, regions []resources.Vector, cands [][]Placement, opt Options, res *Result) error {
-	nvars := 0
-	varOf := make([][]int, len(cands))
-	for i, cs := range cands {
-		varOf[i] = make([]int, len(cs))
-		for j := range cs {
-			varOf[i][j] = nvars
-			nvars++
-		}
-	}
-	p := milp.New(nvars)
-	for v := 0; v < nvars; v++ {
-		p.SetBinary(v)
-	}
-	p.LP.SetObjective(make([]float64, nvars), false) // pure feasibility, as in §V-H
-
-	// Exactly one placement per region.
-	for i := range cands {
-		coef := make([]float64, len(varOf[i]))
-		for j := range coef {
-			coef[j] = 1
-		}
-		if err := p.LP.AddSparse(varOf[i], coef, lp.EQ, 1); err != nil {
-			return err
-		}
-	}
-	// Cell-capacity rows.
-	for y := 0; y < f.Rows; y++ {
-		for x := 0; x < f.Width(); x++ {
-			var idx []int
-			for i, cs := range cands {
-				for j, pc := range cs {
-					if pc.X0 <= x && x < pc.X1 && pc.Y0 <= y && y < pc.Y1 {
-						idx = append(idx, varOf[i][j])
-					}
-				}
-			}
-			if len(idx) < 2 {
-				continue
-			}
-			coef := make([]float64, len(idx))
-			for k := range coef {
-				coef[k] = 1
-			}
-			if err := p.LP.AddSparse(idx, coef, lp.LE, 1); err != nil {
-				return err
-			}
-		}
-	}
-
-	maxNodes := opt.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = defaultMaxNodes
-	}
-	sol, err := p.Solve(milp.Options{MaxNodes: maxNodes, Budget: opt.Budget, Faults: opt.Faults, FirstIncumbent: true})
-	if err != nil {
-		return err
-	}
-	res.Nodes = sol.Nodes
-	switch sol.Status {
-	case milp.Optimal, milp.Feasible:
-		res.Feasible, res.Proven = true, true
-		res.Placements = make([]Placement, len(cands))
-		for i := range cands {
-			found := false
-			for j := range cands[i] {
-				if sol.X[varOf[i][j]] > 0.5 {
-					res.Placements[i] = cands[i][j]
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("floorplan: MILP solution selects no placement for region %d", i)
-			}
-		}
-	case milp.Infeasible:
-		res.Feasible, res.Proven = false, true
-	default:
-		res.Feasible, res.Proven = false, false
-	}
-	return nil
 }

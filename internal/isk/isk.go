@@ -72,8 +72,8 @@ type Options struct {
 	// and inside floorplan queries, so a cancel lands in milliseconds. On
 	// exhaustion Schedule returns an error matching budget.ErrExhausted.
 	Budget *budget.Budget
-	// Faults, when armed, is forwarded to the floorplanner (and its MILP
-	// engine) to drive failure paths deterministically in tests.
+	// Faults, when armed, is forwarded to the floorplanner to drive failure
+	// paths deterministically in tests.
 	Faults *faultinject.Set
 	// Trace, when non-nil, records spans for the run, each shrink-retry
 	// attempt and each window solve (with its branch-and-bound node count),

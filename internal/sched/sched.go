@@ -52,8 +52,8 @@ type Options struct {
 	// floorplan search, so a cancel or deadline lands in milliseconds. On
 	// exhaustion Schedule returns an error matching ErrBudgetExhausted.
 	Budget *budget.Budget
-	// Faults, when armed, is forwarded to the floorplanner (and its MILP
-	// engine) to drive failure paths deterministically in tests.
+	// Faults, when armed, is forwarded to the floorplanner to drive failure
+	// paths deterministically in tests.
 	Faults *faultinject.Set
 	// Trace, when non-nil, records spans for the run, each shrink-retry
 	// attempt (annotated with the shrunk capacity vector) and each of the

@@ -35,9 +35,10 @@ func (d Digest) less(o Digest) bool { return bytes.Compare(d[:], o[:]) < 0 }
 // the wire-visible behavior via the golden vectors). v2 replaced the
 // taskgraph-JSON graph encoding with the direct field stream below: the
 // exact-hit path must stay O(hash), and reflective JSON encoding was the
-// dominant cost of v1 lookups.
+// dominant cost of v1 lookups. v3 dropped the floorplan engine and its
+// candidate cap from the floorplan options, leaving only the node cap.
 const (
-	keyVersion      = "schedcache/v2"
+	keyVersion      = "schedcache/v3"
 	instanceVersion = "schedcache/v2-instance"
 	archVersion     = "schedcache/v2-arch"
 	graphVersion    = "schedcache/v2-graph"
@@ -119,8 +120,6 @@ func computeKeys(req *solve.Request, solver string) cacheKeys {
 	c.buf = append(c.buf, ad[:]...)
 	c.int(b2i(o.ModuleReuse))
 	fp := func() {
-		c.int(int64(o.Floorplan.Method))
-		c.int(int64(o.Floorplan.MaxCandidates))
 		c.int(int64(o.Floorplan.MaxNodes))
 	}
 	switch solver {

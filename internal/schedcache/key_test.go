@@ -33,12 +33,12 @@ func TestKeyGoldenVectors(t *testing.T) {
 	}{
 		{
 			name: "pa-defaults", solver: "pa", mut: func(o *solve.Options) {},
-			want: "7ec744802a631bfa780269ec16d86e5fbbf8dc5c7ef3c4b206a4bf593babaca8",
+			want: "ac3f76b6dff0b272ee04bbe0c89bd9d7224353e7b6502df2cbd38db5b90b8ca4",
 		},
 		{
 			name: "pa-reuse", solver: "pa",
 			mut:  func(o *solve.Options) { o.ModuleReuse = true },
-			want: "65f31a70b4e7952972f285d9c4d2029e704f457e3b55334affb20508021a59d9",
+			want: "3f843e0440a618691bf2d8185bf2d246b13b664ba509cef30fbe5e3c46361db1",
 		},
 		{
 			name: "par-explicit-workers", solver: "par",
@@ -47,17 +47,17 @@ func TestKeyGoldenVectors(t *testing.T) {
 				o.Workers = 2
 				o.MaxIterations = 8
 			},
-			want: "11100035c5308b0fc4082848b640eadd0c7701add49c56194887dd1f76e67a4d",
+			want: "5f640f5d46b95a18dba9e45a51641f310e7251c506be98fb8df2cf7bde5ced65",
 		},
 		{
 			name: "is5", solver: "is5",
 			mut:  func(o *solve.Options) { o.MaxNodes = 1000 },
-			want: "43957af9657fa3916e3e6a1ddb881b5eea9b6cdc70ed50d96218040f39e4fa40",
+			want: "1f3132a67997efec8cd02ee2f6122c70e4cb79127c0040501adf9168151c274e",
 		},
 		{
 			name: "exact", solver: "exact",
 			mut:  func(o *solve.Options) { o.MaxNodes = 5000 },
-			want: "28cf7e3888fe3df513b523679d91b3093b9b3441f34178e744499d5c459caaad",
+			want: "a659bc6a18660578bd783885882753f09c4a50acf24e77de521c5e4e6db20b74",
 		},
 	}
 	for _, tc := range cases {

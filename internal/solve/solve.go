@@ -82,7 +82,7 @@ type Options struct {
 	// layer that supports them.
 	Budget *budget.Budget
 	// Faults, when armed, drives deterministic failure injection through
-	// the floorplanner and MILP engine of every solver.
+	// the floorplanner of every solver.
 	Faults *faultinject.Set
 	// Trace, when non-nil, records the solver's span taxonomy (package
 	// obs). A nil trace is a no-op and tracing never perturbs schedules.
