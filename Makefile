@@ -1,20 +1,29 @@
 # Pre-PR verification gate. `make verify` must pass before any change is
 # merged: formatting, go vet, build, the full test suite under the race
 # detector, the Table I search-equivalence digest (which the race run
-# skips), and the repository's own static-analysis suite (reschedvet),
-# which enforces the scheduler determinism invariants documented in README.md.
+# skips), the repository's own static-analysis suite (reschedvet),
+# which enforces the scheduler determinism invariants documented in README.md,
+# and a check that no tracked file is one .gitignore excludes.
 
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race digest reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke serve-bench online-smoke
+.PHONY: verify fmt-check tracked-ignored vet build test race digest reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke serve-bench online-smoke
 
-verify: fmt-check vet build race digest reschedvet solvecheck
+verify: fmt-check tracked-ignored vet build race digest reschedvet solvecheck
 	@echo "verify: all gates passed"
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+# tracked-ignored fails when git tracks a file .gitignore excludes: a
+# build artefact committed by accident (a binary at the root, say).
+tracked-ignored:
+	@out="$$(git ls-files -ci --exclude-standard)"; \
+	if [ -n "$$out" ]; then \
+		echo "tracked files that .gitignore excludes:"; echo "$$out"; exit 1; \
 	fi
 
 vet:

@@ -29,7 +29,6 @@ import (
 	"resched/internal/experiments"
 	"resched/internal/obs"
 	"resched/internal/obs/obshttp"
-	"resched/internal/schedcache"
 )
 
 func main() {
@@ -57,16 +56,8 @@ func run() (retErr error) {
 		serveDebug  = flag.String("serve-debug", "", "serve /metrics, /debug/trace, /debug/events and pprof on this address while the sweep runs (e.g. :8080)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof)")
 		memProfile  = flag.String("memprofile", "", "write a heap profile (runtime/pprof)")
-
-		cacheEntries = flag.Int("cache-entries", 0, "schedule-cache capacity (0 = no caching); deterministic solver repeats within the sweep return cached results")
 	)
 	flag.Parse()
-
-	if *cacheEntries > 0 {
-		// The harness dispatches every solve through the registry, so one
-		// installed cache covers the whole sweep.
-		schedcache.Install(schedcache.New(*cacheEntries))
-	}
 
 	if *cpuProfile != "" {
 		cf, err := os.Create(*cpuProfile)

@@ -28,11 +28,11 @@
 // /metrics, /debug/trace, /debug/events, /debug/summary, /debug/pprof/) —
 // see internal/obs/obshttp.
 //
-// -robust (equivalently -algo robust) runs the degradation ladder
-// (PA → PA-R → all-software) and reports which rung produced the schedule.
-// -timeout and -maxnodes bound the whole run through the unified budget;
-// the -fault-* flags deterministically inject solver failures, which is how
-// the resilience paths are exercised from the command line.
+// -algo robust runs the degradation ladder (PA → PA-R → all-software)
+// and reports which rung produced the schedule. -timeout and -maxnodes
+// bound the whole run through the unified budget; the -fault-* flags
+// deterministically inject solver failures, which is how the resilience
+// paths are exercised from the command line.
 //
 // Exit codes: 0 success, 1 generic failure, 2 usage, 3 no floorplan-
 // feasible schedule, 4 budget exhausted, 5 no all-software fallback.
@@ -55,7 +55,6 @@ import (
 	"resched/internal/obs"
 	"resched/internal/obs/obshttp"
 	"resched/internal/sched"
-	"resched/internal/schedcache"
 	"resched/internal/schedule"
 	"resched/internal/sim"
 	"resched/internal/solve"
@@ -108,24 +107,14 @@ func run() (retErr error) {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof)")
 		memProfile  = flag.String("memprofile", "", "write a heap profile (runtime/pprof)")
 
-		robust   = flag.Bool("robust", false, "run the degradation ladder (equivalent to -algo robust)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = unlimited)")
 		maxNodes = flag.Int64("maxnodes", 0, "search-node budget across all solves (0 = unlimited)")
 		faultFP  = flag.Int("fault-floorplan-infeasible", 0, "inject: force the next N floorplan solves infeasible (-1 = all)")
-
-		cacheEntries = flag.Int("cache-entries", 0, "schedule-cache capacity (0 = no caching); repeated identical runs return the cached result, near-misses warm-start the solver")
 	)
 	flag.Parse()
-	if *robust {
-		*algo = "robust"
-	}
 	if *graphPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *cacheEntries > 0 {
-		// Install before Get so the resolved solver is cache-decorated.
-		schedcache.Install(schedcache.New(*cacheEntries))
 	}
 	solver, err := solve.Get(*algo)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
+	"resched/internal/exact"
 	"resched/internal/solve"
 )
 
@@ -50,21 +51,13 @@ func RunOptGap(cfg OptGapConfig) ([]OptGapPoint, error) {
 	if cfg.ParBudget == 0 {
 		cfg.ParBudget = 30 * time.Millisecond
 	}
-	// The exhaustive reference advertises its instance-size ceiling through
-	// the registry, so the sweep can validate sizes without importing it.
-	maxTasks := 0
-	if s, err := solve.Get("exact"); err == nil {
-		if m, ok := s.(interface{ MaxTasks() int }); ok {
-			maxTasks = m.MaxTasks()
-		}
-	}
 	// The small MicroZed device keeps even tiny instances contended, so
 	// the heuristics actually have decisions to get wrong.
 	a := arch.MicroZed7010()
 	var out []OptGapPoint
 	for _, n := range cfg.Sizes {
-		if maxTasks > 0 && n > maxTasks {
-			return nil, fmt.Errorf("experiments: size %d exceeds the exact-search limit %d", n, maxTasks)
+		if n > exact.MaxTasks {
+			return nil, fmt.Errorf("experiments: size %d exceeds the exact-search limit %d", n, exact.MaxTasks)
 		}
 		pt := OptGapPoint{Tasks: n}
 		for idx := 0; idx < cfg.Instances; idx++ {

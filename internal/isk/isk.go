@@ -17,7 +17,6 @@ package isk
 
 import (
 	"fmt"
-	"time"
 
 	"resched/internal/arch"
 	"resched/internal/budget"
@@ -52,7 +51,9 @@ type Options struct {
 	Exhaustive bool
 	// SkipFloorplan omits the floorplanning feasibility loop.
 	SkipFloorplan bool
-	// Floorplan configures the feasibility query.
+	// Floorplan configures the feasibility query; a schedule it rejects
+	// restarts on a virtually shrunk device, the same §V-H policy PA
+	// applies (floorplan.Restart).
 	Floorplan floorplan.Options
 	// Initial, when non-nil and non-empty, is the warm platform state the
 	// run schedules from (schedule.PlatformState, produced by
@@ -61,12 +62,6 @@ type Options struct {
 	// and pinned tasks execute first in their regions with the committed
 	// implementation. A nil or Empty state is the historical t=0 run.
 	Initial *schedule.PlatformState
-	// MaxRetries bounds the shrink-and-restart loop (default 20), the
-	// same §V-H policy the paper applies around its schedulers.
-	MaxRetries int
-	// ShrinkFactor is the virtual capacity reduction per retry
-	// (default 0.93: retries are cheap, so shrink gently).
-	ShrinkFactor float64
 	// Budget, when non-nil, bounds the whole run: it is checked at every
 	// attempt boundary, charged per node inside the window branch-and-bound
 	// and inside floorplan queries, so a cancel lands in milliseconds. On
@@ -89,12 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxWindowNodes == 0 {
 		o.MaxWindowNodes = 50000
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 20
-	}
-	if o.ShrinkFactor == 0 {
-		o.ShrinkFactor = 0.93
-	}
 	return o
 }
 
@@ -104,13 +93,10 @@ type Stats struct {
 	Windows int
 	// Nodes is the total branch-and-bound nodes across windows.
 	Nodes int
-	// SchedulingTime and FloorplanTime split the runtime as in Table I.
-	SchedulingTime time.Duration
-	FloorplanTime  time.Duration
-	// Retries counts shrink-and-restart rounds.
-	Retries int
-	// Placements is the verified floorplan (empty when SkipFloorplan).
-	Placements []floorplan.Placement
+	// RestartStats splits the runtime as in Table I and counts the §V-H
+	// attempts and retries; its Placements is the verified floorplan
+	// (empty when SkipFloorplan).
+	floorplan.RestartStats
 }
 
 // Schedule runs IS-k on the instance.
@@ -124,75 +110,28 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	}
 	runSpan := opts.Trace.Start("isk.run", obs.Int("k", int64(opts.K)))
 	defer runSpan.End()
-	if opts.Floorplan.Trace == nil {
-		opts.Floorplan.Trace = opts.Trace
-	}
-	if opts.Floorplan.Budget == nil {
-		opts.Floorplan.Budget = opts.Budget
-	}
-	if opts.Floorplan.Faults == nil {
-		opts.Floorplan.Faults = opts.Faults
-	}
 	stats := &Stats{}
-	maxRes := a.MaxRes
-	var planner *floorplan.Planner // one for every shrink retry
-	for attempt := 0; ; attempt++ {
-		if err := opts.Budget.Check(); err != nil {
-			return nil, nil, fmt.Errorf("isk: attempt %d: %w", attempt, err)
+	var sch *schedule.Schedule
+	rs, err := floorplan.Restart{
+		Name:      "isk",
+		QuerySpan: "isk.floorplan",
+		Arch:      a,
+		Skip:      opts.SkipFloorplan,
+		Floorplan: opts.Floorplan.Inherit(opts.Budget, opts.Faults, opts.Trace),
+		Budget:    opts.Budget,
+		Trace:     opts.Trace,
+	}.Run(func(maxRes resources.Vector) ([]resources.Vector, error) {
+		var err error
+		if sch, err = run(g, a, maxRes, opts, stats); err != nil {
+			return nil, err
 		}
-		var att *obs.Span
-		if opts.Trace.Enabled() {
-			att = opts.Trace.Start("isk.attempt",
-				obs.Int("attempt", int64(attempt)), obs.Str("maxres", maxRes.String()))
-		}
-		begin := time.Now()
-		sch, err := run(g, a, maxRes, opts, stats)
-		stats.SchedulingTime += time.Since(begin)
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, err
-		}
-		if opts.SkipFloorplan {
-			att.End(obs.Str("outcome", "unfloorplanned"))
-			return sch, stats, nil
-		}
-		fabric, err := a.RequireFabric()
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, fmt.Errorf("isk: floorplanning requested: %w", err)
-		}
-		regionRes := make([]resources.Vector, len(sch.Regions))
-		for i, r := range sch.Regions {
-			regionRes[i] = r.Res
-		}
-		fp := opts.Trace.Start("isk.floorplan")
-		fpBegin := time.Now()
-		if planner == nil {
-			planner = floorplan.NewPlanner(fabric)
-		}
-		res, err := planner.Solve(regionRes, opts.Floorplan)
-		stats.FloorplanTime += time.Since(fpBegin)
-		fp.End()
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, err
-		}
-		if res.Feasible {
-			stats.Placements = res.Placements
-			att.End(obs.Str("outcome", "feasible"))
-			return sch, stats, nil
-		}
-		if attempt >= opts.MaxRetries {
-			att.End(obs.Str("outcome", "infeasible"))
-			return nil, nil, fmt.Errorf("isk: %w after %d shrink retries", floorplan.ErrInfeasible, attempt)
-		}
-		stats.Retries++
-		opts.Trace.Count("isk.retries", 1)
-		att.End(obs.Str("outcome", "infeasible-shrink"))
-		for k := range maxRes {
-			maxRes[k] = int(float64(maxRes[k]) * opts.ShrinkFactor)
-		}
+		return sch.RegionRequirements(), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	stats.RestartStats = rs
+	return sch, stats, nil
 }
 
 // run executes the iterative scheme on a fixed virtual capacity.

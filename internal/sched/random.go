@@ -15,7 +15,6 @@ import (
 	"resched/internal/faultinject"
 	"resched/internal/floorplan"
 	"resched/internal/obs"
-	"resched/internal/resources"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
 )
@@ -312,16 +311,7 @@ func (e *engine) runWorker(w int) workerResult {
 		Initial:       opts.Initial,
 		scratch:       &state{},
 	}
-	fpOpts := opts.Floorplan
-	if fpOpts.Trace == nil {
-		fpOpts.Trace = tr
-	}
-	if fpOpts.Budget == nil {
-		fpOpts.Budget = e.bud
-	}
-	if fpOpts.Faults == nil {
-		fpOpts.Faults = opts.Faults
-	}
+	fpOpts := opts.Floorplan.Inherit(e.bud, opts.Faults, tr)
 	if fpOpts.MaxNodes == 0 {
 		// Bound each feasibility query so a hard instance cannot eat the
 		// whole search budget; an unproven verdict just shrinks the
@@ -459,14 +449,4 @@ func globalBest(points []ImprovementPoint, bar int64) []ImprovementPoint {
 		kept = append(kept, p)
 	}
 	return kept
-}
-
-// regionRequirements extracts the region resource vectors of a schedule,
-// for callers that floorplan separately.
-func regionRequirements(sch *schedule.Schedule) []resources.Vector {
-	out := make([]resources.Vector, len(sch.Regions))
-	for i, r := range sch.Regions {
-		out[i] = r.Res
-	}
-	return out
 }

@@ -72,10 +72,6 @@ type RobustOptions struct {
 	ModuleReuse bool
 	// Floorplan configures the feasibility queries of the search rungs.
 	Floorplan floorplan.Options
-	// MaxRetries and ShrinkFactor tune the PA rung's §V-H restart loop
-	// (defaults as in Options).
-	MaxRetries   int
-	ShrinkFactor float64
 	// RandomIterations caps the PA-R rung's inner runs (default 32 when
 	// neither it nor RandomTime is set, keeping the rung deterministic).
 	RandomIterations int
@@ -171,7 +167,6 @@ func Robust(g *taskgraph.Graph, a *arch.Architecture, opts RobustOptions) (*Resu
 	// Rungs 1+2: deterministic PA with shrink retries.
 	sch, stats, err := Schedule(g, a, Options{
 		ModuleReuse: opts.ModuleReuse, Floorplan: opts.Floorplan,
-		MaxRetries: opts.MaxRetries, ShrinkFactor: opts.ShrinkFactor,
 		Arena:         opts.Arena,
 		Initial:       opts.Initial,
 		FloorplanHint: opts.FloorplanHint,

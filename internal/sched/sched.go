@@ -8,7 +8,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"resched/internal/arch"
 	"resched/internal/budget"
@@ -30,13 +29,9 @@ type Options struct {
 	// scheduler uses this for its inner runs and floorplans only promising
 	// solutions (Algorithm 1).
 	SkipFloorplan bool
-	// Floorplan configures the phase-8 feasibility query.
+	// Floorplan configures the phase-8 feasibility query; a schedule it
+	// rejects restarts on a virtually shrunk device (§V-H, floorplan.Restart).
 	Floorplan floorplan.Options
-	// MaxRetries bounds the shrink-and-restart loop of §V-H (default 20).
-	MaxRetries int
-	// ShrinkFactor is the virtual capacity reduction applied per retry
-	// (default 0.93: retries are cheap, so shrink gently).
-	ShrinkFactor float64
 	// Rand, when non-nil, randomizes the non-critical task order in the
 	// regions-definition phase (the PA-R inner run).
 	Rand *rand.Rand
@@ -97,39 +92,13 @@ type Options struct {
 	scratch *state
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 20
-	}
-	if o.ShrinkFactor == 0 {
-		o.ShrinkFactor = 0.93
-	}
-	return o
-}
-
-// Stats reports how a scheduling run went; Table I of the paper splits PA's
-// execution time into scheduling and floorplanning, which these fields
-// regenerate.
-type Stats struct {
-	// SchedulingTime is the time spent in phases 1–7.
-	SchedulingTime time.Duration
-	// FloorplanTime is the time spent in phase 8 across all retries.
-	FloorplanTime time.Duration
-	// Retries counts shrink-and-restart rounds taken (0 = first try).
-	Retries int
-	// Attempts counts scheduling runs (Retries + 1 on success): the
-	// iteration count that makes the CLI report uniform across PA, PA-R
-	// and IS-k.
-	Attempts int
-	// Placements holds the floorplan found for the final schedule's
-	// regions (empty when SkipFloorplan).
-	Placements []floorplan.Placement
-}
+// Stats reports how a PA run went: its scheduling time is phases 1–7, its
+// floorplanning time phase 8.
+type Stats = floorplan.RestartStats
 
 // Schedule runs the deterministic PA heuristic on the instance and returns
 // a complete, floorplan-feasible schedule.
 func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule.Schedule, *Stats, error) {
-	opts = opts.withDefaults()
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -138,16 +107,6 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	}
 	run := opts.Trace.Start("pa.run")
 	defer run.End()
-	if opts.Floorplan.Trace == nil {
-		opts.Floorplan.Trace = opts.Trace
-	}
-	if opts.Floorplan.Budget == nil {
-		opts.Floorplan.Budget = opts.Budget
-	}
-	if opts.Floorplan.Faults == nil {
-		opts.Floorplan.Faults = opts.Faults
-	}
-	stats := &Stats{}
 	if opts.scratch == nil {
 		if opts.Arena != nil {
 			opts.scratch = &opts.Arena.s
@@ -155,91 +114,29 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 			opts.scratch = &state{}
 		}
 	}
-	// observeRun records the run's distributions on success: how many
-	// shrink-retry attempts the instance needed and how many
-	// reconfigurations the accepted schedule carries. Values, not times —
-	// they must be bit-identical across repeated runs.
-	observeRun := func(sch *schedule.Schedule) {
-		opts.Trace.Observe("pa.attempts", float64(stats.Attempts))
-		opts.Trace.Observe("pa.reconfigurations", float64(len(sch.Reconfs)))
+	var sch *schedule.Schedule
+	stats, err := floorplan.Restart{
+		Name:      "pa",
+		QuerySpan: "pa.phase8.floorplan",
+		Arch:      a,
+		Skip:      opts.SkipFloorplan,
+		Hint:      opts.FloorplanHint,
+		Floorplan: opts.Floorplan.Inherit(opts.Budget, opts.Faults, opts.Trace),
+		Budget:    opts.Budget,
+		Trace:     opts.Trace,
+	}.Run(func(maxRes resources.Vector) (regionRes []resources.Vector, err error) {
+		sch, regionRes, err = runPipeline(g, a, maxRes, opts)
+		return regionRes, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	maxRes := a.MaxRes
-	// One planner serves every shrink retry: requirements the attempts
-	// share keep their sorted candidates and overlap tables.
-	var planner *floorplan.Planner
-	for attempt := 0; ; attempt++ {
-		if err := opts.Budget.Check(); err != nil {
-			return nil, nil, fmt.Errorf("sched: PA attempt %d: %w", attempt, err)
-		}
-		var att *obs.Span
-		if opts.Trace.Enabled() {
-			att = opts.Trace.Start("pa.attempt",
-				obs.Int("attempt", int64(attempt)), obs.Str("maxres", maxRes.String()))
-		}
-		stats.Attempts++
-		begin := time.Now()
-		sch, regionRes, err := runPipeline(g, a, maxRes, opts)
-		stats.SchedulingTime += time.Since(begin)
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, err
-		}
-		if opts.SkipFloorplan {
-			att.End(obs.Str("outcome", "unfloorplanned"))
-			observeRun(sch)
-			return sch, stats, nil
-		}
-		fabric, err := a.RequireFabric()
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, fmt.Errorf("sched: floorplanning requested: %w", err)
-		}
-		if len(opts.FloorplanHint) > 0 && len(opts.FloorplanHint) == len(regionRes) {
-			hintBegin := time.Now()
-			hintErr := floorplan.Verify(fabric, regionRes, opts.FloorplanHint)
-			stats.FloorplanTime += time.Since(hintBegin)
-			if hintErr == nil {
-				// The hint verified against this run's regions: adopt it as
-				// the placement. Copying detaches the result from the
-				// caller-owned hint slice.
-				stats.Placements = append([]floorplan.Placement(nil), opts.FloorplanHint...)
-				opts.Trace.Count("pa.floorplan_hint_used", 1)
-				att.End(obs.Str("outcome", "feasible-hint"))
-				observeRun(sch)
-				return sch, stats, nil
-			}
-			opts.Trace.Count("pa.floorplan_hint_rejected", 1)
-		}
-		p8 := opts.Trace.Start("pa.phase8.floorplan")
-		fpBegin := time.Now()
-		if planner == nil {
-			planner = floorplan.NewPlanner(fabric)
-		}
-		res, err := planner.Solve(regionRes, opts.Floorplan)
-		stats.FloorplanTime += time.Since(fpBegin)
-		p8.End()
-		if err != nil {
-			att.End(obs.Str("outcome", "error"))
-			return nil, nil, err
-		}
-		if res.Feasible {
-			stats.Placements = res.Placements
-			att.End(obs.Str("outcome", "feasible"))
-			observeRun(sch)
-			return sch, stats, nil
-		}
-		if attempt >= opts.MaxRetries {
-			att.End(obs.Str("outcome", "infeasible"))
-			return nil, nil, fmt.Errorf("sched: %w after %d shrink retries", ErrFloorplanInfeasible, attempt)
-		}
-		// §V-H: restart with virtually reduced FPGA resources.
-		stats.Retries++
-		opts.Trace.Count("pa.retries", 1)
-		att.End(obs.Str("outcome", "infeasible-shrink"))
-		for k := range maxRes {
-			maxRes[k] = int(float64(maxRes[k]) * opts.ShrinkFactor)
-		}
-	}
+	// How many attempts the instance needed and how many reconfigurations
+	// the accepted schedule carries. Values, not times: they must be
+	// bit-identical across repeated runs.
+	opts.Trace.Observe("pa.attempts", float64(stats.Attempts))
+	opts.Trace.Observe("pa.reconfigurations", float64(len(sch.Reconfs)))
+	return sch, &stats, nil
 }
 
 // runPipeline executes phases 1–7 and assembles the schedule. The returned

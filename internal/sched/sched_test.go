@@ -200,7 +200,7 @@ func TestSuiteValidity(t *testing.T) {
 			if len(stats.Placements) != len(sch.Regions) {
 				t.Fatalf("n=%d idx=%d: %d placements for %d regions", n, idx, len(stats.Placements), len(sch.Regions))
 			}
-			regionRes := regionRequirements(sch)
+			regionRes := sch.RegionRequirements()
 			if err := floorplan.Verify(a.Fabric, regionRes, stats.Placements); err != nil {
 				t.Fatalf("n=%d idx=%d: %v", n, idx, err)
 			}

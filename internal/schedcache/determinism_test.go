@@ -230,57 +230,3 @@ func TestBypasses(t *testing.T) {
 		t.Fatalf("uncacheable request stored %d entries", c.Len())
 	}
 }
-
-// TestWrapPreservesMaxTasks: the decorator must keep the optional
-// instance-size surface visible, as the registry's own wrapper does.
-func TestWrapPreservesMaxTasks(t *testing.T) {
-	inner, err := solve.Get("exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, ok := inner.(interface{ MaxTasks() int })
-	if !ok {
-		t.Fatal("exact solver lost MaxTasks before wrapping")
-	}
-	wrapped, ok := Wrap(inner, New(4)).(interface{ MaxTasks() int })
-	if !ok {
-		t.Fatal("caching wrapper dropped MaxTasks")
-	}
-	if wrapped.MaxTasks() != limited.MaxTasks() {
-		t.Fatal("MaxTasks value changed through the wrapper")
-	}
-}
-
-// TestInstallWiresRegistry: Install must make registry lookups cache, and
-// Uninstall must restore pass-through.
-func TestInstallWiresRegistry(t *testing.T) {
-	c := New(16)
-	Install(c)
-	defer Uninstall()
-	s, err := solve.Get("pa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(testRequest(t, "pa", 10)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Solve(testRequest(t, "pa", 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "hit" {
-		t.Fatalf("Cache = %q through Install, want hit", res.Cache)
-	}
-	Uninstall()
-	s, err = solve.Get("pa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = s.Solve(testRequest(t, "pa", 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "" {
-		t.Fatalf("Cache = %q after Uninstall, want empty", res.Cache)
-	}
-}

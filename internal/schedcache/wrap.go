@@ -11,48 +11,18 @@ import (
 
 // Wrap decorates a solver with the cache: exact repeats return the stored
 // result, near-misses warm-start the inner solver, everything else passes
-// through untouched. A nil cache returns the solver unchanged. The
-// decorator preserves the optional MaxTasks surface, mirroring the
-// registry's observability wrapper.
+// through untouched. A nil cache returns the solver unchanged.
 func Wrap(s solve.Solver, c *Cache) solve.Solver {
 	if c == nil {
 		return s
 	}
-	cs := cachingSolver{inner: s, cache: c}
-	if _, ok := s.(sizer); ok {
-		return sizedCachingSolver{cs}
-	}
-	return cs
+	return cachingSolver{inner: s, cache: c}
 }
-
-// Install makes every solver the registry's Get returns cache through c —
-// the one-line wiring for CLI frontends (cmd/pasched -cache-entries,
-// cmd/experiments). Long-lived dispatchers that own their cache (the
-// serving tier) call Wrap directly instead and must not also Install, or
-// requests would consult two caches. Install(nil) or Uninstall removes
-// the hook.
-func Install(c *Cache) {
-	if c == nil {
-		solve.SetWrapper(nil)
-		return
-	}
-	solve.SetWrapper(func(s solve.Solver) solve.Solver { return Wrap(s, c) })
-}
-
-// Uninstall removes a previously Installed cache from the registry.
-func Uninstall() { solve.SetWrapper(nil) }
-
-// sizer is the optional instance-size ceiling some solvers expose.
-type sizer interface{ MaxTasks() int }
 
 type cachingSolver struct {
 	inner solve.Solver
 	cache *Cache
 }
-
-type sizedCachingSolver struct{ cachingSolver }
-
-func (s sizedCachingSolver) MaxTasks() int { return s.inner.(sizer).MaxTasks() }
 
 func (cs cachingSolver) Name() string { return cs.inner.Name() }
 

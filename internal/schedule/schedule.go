@@ -157,6 +157,16 @@ func (s *Schedule) ProcessorTasks(p int) []int {
 	return out
 }
 
+// RegionRequirements lists the regions' resource requirements in region
+// order: the query a floorplanner answers for the schedule.
+func (s *Schedule) RegionRequirements() []resources.Vector {
+	out := make([]resources.Vector, len(s.Regions))
+	for i, r := range s.Regions {
+		out[i] = r.Res
+	}
+	return out
+}
+
 // TotalRegionResources returns Σ_{s∈S} res_{s,r}.
 func (s *Schedule) TotalRegionResources() resources.Vector {
 	var v resources.Vector

@@ -24,27 +24,6 @@ type instrumented struct {
 	inner Solver
 }
 
-// sizedInstrumented additionally forwards the optional MaxTasks ceiling
-// that generic registry drivers type-assert for (the exhaustive reference
-// declares one); wrapping must not hide it.
-type sizedInstrumented struct {
-	instrumented
-	sized interface{ MaxTasks() int }
-}
-
-// MaxTasks forwards the wrapped solver's instance-size ceiling.
-func (s sizedInstrumented) MaxTasks() int { return s.sized.MaxTasks() }
-
-// instrument wraps a solver for registration, preserving the MaxTasks
-// type-assertion surface when the solver has one.
-func instrument(s Solver) Solver {
-	w := instrumented{inner: s}
-	if sized, ok := s.(interface{ MaxTasks() int }); ok {
-		return sizedInstrumented{instrumented: w, sized: sized}
-	}
-	return w
-}
-
 // Name forwards the registry name of the wrapped solver.
 func (w instrumented) Name() string { return w.inner.Name() }
 

@@ -126,32 +126,6 @@ func TestConcurrentSolvesDoNotCrossNest(t *testing.T) {
 	}
 }
 
-// TestInstrumentationPreservesMaxTasks pins the type-assertion surface the
-// generic registry drivers rely on: wrapping must not hide the exhaustive
-// reference's instance-size ceiling.
-func TestInstrumentationPreservesMaxTasks(t *testing.T) {
-	s, err := Get("exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sized, ok := s.(interface{ MaxTasks() int })
-	if !ok {
-		t.Fatal("registry exact solver no longer exposes MaxTasks()")
-	}
-	if sized.MaxTasks() <= 0 {
-		t.Errorf("MaxTasks() = %d, want > 0", sized.MaxTasks())
-	}
-	for _, name := range []string{"pa", "par", "robust"} {
-		s, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := s.(interface{ MaxTasks() int }); ok {
-			t.Errorf("%s: wrapper invented a MaxTasks method the solver lacks", name)
-		}
-	}
-}
-
 // TestBudgetExhaustionEvent asserts the flight recorder sees every budget
 // trip crossing the registry boundary, with the specific reason attached.
 func TestBudgetExhaustionEvent(t *testing.T) {

@@ -13,23 +13,7 @@ import (
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Solver{}
-
-	wrapperMu sync.RWMutex
-	wrapper   func(Solver) Solver
 )
-
-// SetWrapper installs a process-wide decorator applied to every solver Get
-// returns, outside the observability wrapper — the hook the schedule cache
-// (internal/schedcache) uses so every registry frontend (CLI, experiments
-// harness, serving tier) benefits without per-frontend wiring. The wrapper
-// must preserve the Solver contract (stateless dispatch, concurrent-safe
-// Solve) and should forward the optional MaxTasks surface. Passing nil
-// uninstalls it. List is unaffected: it names solvers, not instances.
-func SetWrapper(w func(Solver) Solver) {
-	wrapperMu.Lock()
-	wrapper = w
-	wrapperMu.Unlock()
-}
 
 // Register adds a solver under its Name, decorated with the uniform
 // observability wrapper (see instrument.go): every solver reachable
@@ -48,7 +32,7 @@ func Register(s Solver) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("solve: Register called twice for solver %q", name))
 	}
-	registry[name] = instrument(s)
+	registry[name] = instrumented{inner: s}
 }
 
 // Get resolves a solver by name. The error enumerates the registered
@@ -59,12 +43,6 @@ func Get(name string) (Solver, error) {
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("solve: unknown solver %q (have %s)", name, strings.Join(List(), ", "))
-	}
-	wrapperMu.RLock()
-	w := wrapper
-	wrapperMu.RUnlock()
-	if w != nil {
-		s = w(s)
 	}
 	return s, nil
 }

@@ -134,10 +134,6 @@ type exactSolver struct{}
 
 func (exactSolver) Name() string { return "exact" }
 
-// MaxTasks exposes the instance-size ceiling of the exhaustive search so
-// generic registry drivers (tests, sweeps) can pick a graph it accepts.
-func (exactSolver) MaxTasks() int { return exact.MaxTasks }
-
 func (exactSolver) Solve(req *Request) (*Result, error) {
 	if req.Initial != nil && !req.Initial.Empty() {
 		return nil, errors.New("solve: the exact reference enumerates cold schedules only; it cannot start from a warm platform state")
