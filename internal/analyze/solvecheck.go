@@ -25,14 +25,11 @@ var SolveCheck = &Analyzer{
 }
 
 // solveCheckExempt lists the packages whose job is exactly this translation:
-// the solve adapters themselves, and the algorithm packages that delegate to
-// their own sub-solvers (sched.Robust runs PA and PA-R; the schedulers pass
-// budgets and traces down into floorplan.Options).
+// the solve adapters themselves, and sched, whose Robust ladder runs PA and
+// PA-R and whose PA-R search builds its own floorplan queries.
 var solveCheckExempt = map[string]bool{
 	"resched/internal/solve": true,
 	"resched/internal/sched": true,
-	"resched/internal/isk":   true,
-	"resched/internal/exact": true,
 }
 
 func runSolveCheck(pass *Pass) {

@@ -80,19 +80,6 @@ func (a *Architecture) ReconfTime(v resources.Vector) int64 {
 	return (bits + a.RecFreq - 1) / a.RecFreq
 }
 
-// Shrunk returns a copy of the architecture whose resource capacity has been
-// virtually reduced by the given factor in (0, 1]. The paper's deterministic
-// scheduler restarts with a shrunk device whenever the floorplanner cannot
-// place the regions (§V-H). The fabric is preserved: floorplanning always
-// runs against the physical device.
-func (a *Architecture) Shrunk(factor float64) *Architecture {
-	c := *a
-	for k := range c.MaxRes {
-		c.MaxRes[k] = int(float64(c.MaxRes[k]) * factor)
-	}
-	return &c
-}
-
 // ReconfiguratorCount returns the effective number of reconfiguration
 // controllers (at least one).
 func (a *Architecture) ReconfiguratorCount() int {

@@ -96,20 +96,6 @@ func TestReconfTimeMonotone(t *testing.T) {
 	}
 }
 
-func TestShrunk(t *testing.T) {
-	a := ZedBoard()
-	s := a.Shrunk(0.5)
-	if s.MaxRes != resources.Vec(6600, 75, 120) {
-		t.Errorf("Shrunk(0.5).MaxRes = %v", s.MaxRes)
-	}
-	if s.Fabric != a.Fabric {
-		t.Error("Shrunk must preserve the physical fabric")
-	}
-	if a.MaxRes != ZedBoard().MaxRes {
-		t.Error("Shrunk mutated the original architecture")
-	}
-}
-
 func TestRequireFabric(t *testing.T) {
 	a := ZedBoard()
 	if _, err := a.RequireFabric(); err != nil {

@@ -1,7 +1,14 @@
-// Package budget unifies the resource limits of the scheduling pipeline —
-// wall-clock deadlines, search-node caps and cooperative cancellation —
-// behind a single Budget type threaded through floorplan.Options,
-// sched.Options/RandomOptions and isk.Options.
+// Package budget holds the two limit concepts of the scheduling pipeline.
+//
+// A search cap is an algorithm constant that ends one search early; the
+// search keeps its best answer and reports it unproven. The caps live in
+// one table below (FloorplanNodes, RandomFloorplanNodes, WindowNodes,
+// ExactNodes) and are not settings.
+//
+// A request cap is the Budget tree: wall-clock deadlines, node caps and
+// cooperative cancellation behind a single Budget type threaded through
+// floorplan.Options, sched.Options/RandomOptions, isk.Options and
+// exact.Options. Exhausting it ends the whole request.
 //
 // Before this package each solver rolled its own deadline idiom with direct
 // time.Now() comparisons; the reschedvet rawclock analyzer now rejects that
@@ -25,11 +32,13 @@
 // Budgets form a tree: WithTimeout derives a child with a tighter deadline
 // that shares the parent's node accounting and observes the parent's
 // cancellation, which is how PA-R's per-call TimeBudget nests inside an
-// overall pipeline budget. Cancellation flows downward only: cancelling a
-// parent trips every descendant, while cancelling a child retires just its
-// own subtree — so a phase that derives a scoped child can (and must, see
-// the lostcancel analyzer) `defer child.Cancel()` without ending the
-// pipeline it nests in.
+// overall pipeline budget; WithNodes derives a child with its own node cap
+// that charges every ancestor too, which is how a server request or an
+// online epoch caps its nodes inside the server's or the run's budget.
+// Cancellation flows downward only: cancelling a parent trips every
+// descendant, while cancelling a child retires just its own subtree — so a
+// phase that derives a scoped child can (and must, see the lostcancel
+// analyzer) `defer child.Cancel()` without ending the pipeline it nests in.
 package budget
 
 import (
@@ -45,6 +54,24 @@ import (
 // inject a manual clock (see internal/faultinject) so deadline behaviour is
 // deterministic and instantaneous.
 type Clock func() time.Time
+
+// The search caps: how many nodes one search may explore before it stops
+// and keeps its best answer. They bound single searches, as the paper's
+// solvers are bounded by a MILP time limit; a Budget bounds a whole request.
+const (
+	// FloorplanNodes caps one floorplan query of PA and IS-k: the
+	// default of floorplan.Options.MaxNodes.
+	FloorplanNodes = 200_000
+	// RandomFloorplanNodes caps one floorplan query of PA-R, which queries
+	// far more often and only shrinks its virtual capacity on a "no".
+	RandomFloorplanNodes = 20_000
+	// WindowNodes caps the branch and bound of one IS-k window, the role
+	// of the per-window MILP time limit of ref [6].
+	WindowNodes = 50_000
+	// ExactNodes caps the exhaustive reference, which is one IS-k window
+	// over the whole graph.
+	ExactNodes = 30_000_000
+)
 
 // clockStride is how many Charge calls share one real-clock read. 64 keeps
 // the amortised cost of a charge at a few atomic operations while bounding
@@ -116,7 +143,7 @@ type Options struct {
 	// Timeout and Deadline are set the earlier instant wins.
 	Deadline time.Time
 	// MaxNodes caps the cumulative search nodes charged across every solver
-	// sharing this budget (and its WithTimeout children); 0 means none.
+	// sharing this budget (and its children); 0 means none.
 	MaxNodes int64
 	// Clock overrides the time source. Nil means time.Now. Injected clocks
 	// are consulted on every Charge (no striding) so fake-clock tests see
@@ -124,21 +151,31 @@ type Options struct {
 	Clock Clock
 	// Trace, when non-nil, receives one "budget.exhausted" flight-recorder
 	// event the first time the budget (or any WithTimeout child — the note
-	// is once per tree) fails a Charge or Check, tagged with the reason.
+	// is once per tree, and once per WithNodes subtree) fails a Charge or
+	// Check, tagged with the reason.
 	// Recording never alters what Charge/Check return.
 	Trace *obs.Trace
 }
 
-// shared is the state common to a budget and all WithTimeout children: node
-// accounting and the exhaustion note propagate across the whole tree.
+// shared is the state common to a budget and its WithTimeout children: the
+// clock stride and the exhaustion note propagate across them.
 type shared struct {
-	nodes atomic.Int64
 	ticks atomic.Int64 // Charge calls since the last clock read
 	// trace and noted implement the once-per-tree exhaustion event. They
 	// live here (not on Budget) because WithTimeout copies the Budget
 	// struct: a per-copy flag would fire once per child.
 	trace *obs.Trace
 	noted atomic.Bool
+}
+
+// meter counts the nodes charged to one node cap. New makes the root meter,
+// WithTimeout children share their parent's, and WithNodes children get
+// their own, linked up to the parent's: a charge adds to every meter on the
+// chain, so each cap counts the nodes charged anywhere below it.
+type meter struct {
+	nodes atomic.Int64
+	max   int64 // 0 means no cap
+	up    *meter
 }
 
 // cancelNode is one link in the downward-only cancellation chain. Each
@@ -167,21 +204,21 @@ func (c *cancelNode) tripped() bool {
 // from another goroutine.
 type Budget struct {
 	s        *shared
+	m        *meter
 	cancel   *cancelNode
 	clock    Clock
 	deadline time.Time // zero means no deadline
-	maxNodes int64     // 0 means no cap
 	strided  bool      // real clock: read it every clockStride charges only
 }
 
 // New builds a budget from opt.
 func New(opt Options) *Budget {
 	b := &Budget{
-		s:        &shared{trace: opt.Trace},
-		cancel:   &cancelNode{},
-		clock:    opt.Clock,
-		maxNodes: opt.MaxNodes,
-		strided:  opt.Clock == nil,
+		s:       &shared{trace: opt.Trace},
+		m:       &meter{max: opt.MaxNodes},
+		cancel:  &cancelNode{},
+		clock:   opt.Clock,
+		strided: opt.Clock == nil,
 	}
 	if b.clock == nil {
 		b.clock = time.Now
@@ -222,7 +259,31 @@ func (b *Budget) WithTimeout(d time.Duration) *Budget {
 	return &child
 }
 
-// Cancel trips the budget and every budget derived from it via WithTimeout:
+// WithNodes derives a child budget that may charge at most n nodes of its
+// own. The child counts only the nodes charged through it (and its own
+// children), charges every ancestor's count too, and shares the receiver's
+// deadline, clock, trace and cancellation; its subtree notes its first
+// failure in the trace on its own. It holds nothing that needs releasing,
+// so unlike WithTimeout it need not be cancelled; its Cancel retires only
+// the child. A non-positive n returns the receiver itself. On a nil
+// receiver it is equivalent to New(Options{MaxNodes: n}).
+func (b *Budget) WithNodes(n int64) *Budget {
+	if n <= 0 {
+		return b
+	}
+	if b == nil {
+		return New(Options{MaxNodes: n})
+	}
+	child := *b
+	// A fresh shared state gives the child its own exhaustion note: each
+	// request or epoch cap that binds records its own event.
+	child.s = &shared{trace: b.s.trace}
+	child.m = &meter{max: n, up: b.m}
+	child.cancel = &cancelNode{parent: b.cancel}
+	return &child
+}
+
+// Cancel trips the budget and every budget derived from it:
 // their next Charge or Check returns ErrCancelled. Ancestors are unaffected.
 // Idempotent and safe from any goroutine; this is the cooperative-
 // cancellation entry point.
@@ -239,12 +300,14 @@ func (b *Budget) Cancelled() bool {
 	return b != nil && b.cancel.tripped()
 }
 
-// Nodes returns the cumulative nodes charged so far across the budget tree.
+// Nodes returns the cumulative nodes charged so far against the budget's
+// node cap: everything charged through the budget, its WithTimeout
+// relatives and every child derived below them.
 func (b *Budget) Nodes() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.s.nodes.Load()
+	return b.m.nodes.Load()
 }
 
 // Deadline returns the effective deadline and whether one is set.
@@ -253,15 +316,6 @@ func (b *Budget) Deadline() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return b.deadline, !b.deadline.IsZero()
-}
-
-// Remaining returns the time left until the deadline (negative once it has
-// passed) and whether a deadline is set at all.
-func (b *Budget) Remaining() (time.Duration, bool) {
-	if b == nil || b.deadline.IsZero() {
-		return 0, false
-	}
-	return b.deadline.Sub(b.clock()), true
 }
 
 // Charge records n search nodes against the budget and reports whether the
@@ -276,8 +330,13 @@ func (b *Budget) Charge(n int64) error {
 	if b.cancel.tripped() {
 		return b.noteExhausted(ErrCancelled)
 	}
-	nodes := b.s.nodes.Add(n)
-	if b.maxNodes > 0 && nodes > b.maxNodes {
+	capped := false
+	for m := b.m; m != nil; m = m.up {
+		if nodes := m.nodes.Add(n); m.max > 0 && nodes > m.max {
+			capped = true
+		}
+	}
+	if capped {
 		return b.noteExhausted(ErrNodeCap)
 	}
 	if !b.deadline.IsZero() {
@@ -297,7 +356,7 @@ func (b *Budget) Charge(n int64) error {
 // error. A failing call is charged, as Charge charges it, except on
 // cancellation. Searches that skip a run of nodes in bulk use it to keep
 // their node counts and abort points those of a per-node loop. Concurrent
-// chargers see the run's nodes added in one atomic step.
+// chargers see the run's nodes added to each meter in one atomic step.
 func (b *Budget) ChargeRun(n int64) (int64, error) {
 	if b == nil || n <= 0 {
 		return n, nil
@@ -319,22 +378,16 @@ func (b *Budget) ChargeRun(n int64) (int64, error) {
 			calls, fail = first, ErrDeadline
 		}
 	}
-	if b.maxNodes > 0 {
-		for {
-			before := b.s.nodes.Load()
-			c, f := calls, fail
-			// Call i fails the cap when before+i > maxNodes; at the same
-			// call the cap is tested before the clock.
-			if capAt := max(b.maxNodes-before+1, 1); capAt <= c {
-				c, f = capAt, ErrNodeCap
-			}
-			if b.s.nodes.CompareAndSwap(before, before+c) {
-				calls, fail = c, f
-				break
+	for m := b.m; m != nil; m = m.up {
+		c, f := m.reserve(calls, fail)
+		if c < calls {
+			// A cap up the chain ends the run sooner: return the surplus
+			// the meters below already took.
+			for l := b.m; l != m; l = l.up {
+				l.nodes.Add(c - calls)
 			}
 		}
-	} else {
-		b.s.nodes.Add(calls)
+		calls, fail = c, f
 	}
 	if b.strided && !b.deadline.IsZero() {
 		// Only calls that pass the node cap reach the clock stride.
@@ -350,6 +403,28 @@ func (b *Budget) ChargeRun(n int64) (int64, error) {
 	return n, nil
 }
 
+// reserve adds the first calls of a run to the meter, up to and including
+// the call that crosses its cap, and returns how many it added with the
+// error of the run's last call.
+func (m *meter) reserve(calls int64, fail *Error) (int64, *Error) {
+	if m.max <= 0 {
+		m.nodes.Add(calls)
+		return calls, fail
+	}
+	for {
+		before := m.nodes.Load()
+		c, f := calls, fail
+		// Call i fails the cap when before+i > max; at the same call the
+		// cap is tested before the clock.
+		if capAt := max(m.max-before+1, 1); capAt <= c {
+			c, f = capAt, ErrNodeCap
+		}
+		if m.nodes.CompareAndSwap(before, before+c) {
+			return c, f
+		}
+	}
+}
+
 // Check verifies the budget without charging nodes, always consulting the
 // clock. Use it at phase and attempt boundaries where the extra clock read
 // is immaterial; inner loops should prefer Charge.
@@ -360,8 +435,10 @@ func (b *Budget) Check() error {
 	if b.cancel.tripped() {
 		return b.noteExhausted(ErrCancelled)
 	}
-	if b.maxNodes > 0 && b.s.nodes.Load() >= b.maxNodes {
-		return b.noteExhausted(ErrNodeCap)
+	for m := b.m; m != nil; m = m.up {
+		if m.max > 0 && m.nodes.Load() >= m.max {
+			return b.noteExhausted(ErrNodeCap)
+		}
 	}
 	if !b.deadline.IsZero() && !b.clock().Before(b.deadline) {
 		return b.noteExhausted(ErrDeadline)

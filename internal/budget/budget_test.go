@@ -49,9 +49,6 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if _, ok := b.Deadline(); ok {
 		t.Fatal("nil budget has a deadline")
 	}
-	if _, ok := b.Remaining(); ok {
-		t.Fatal("nil budget has remaining time")
-	}
 }
 
 func TestCancel(t *testing.T) {
@@ -108,9 +105,6 @@ func TestDeadlineWithFakeClock(t *testing.T) {
 	err := b.Charge(1)
 	if !errors.Is(err, ErrDeadline) || !errors.Is(err, ErrExhausted) {
 		t.Fatalf("charge at deadline = %v, want ErrDeadline", err)
-	}
-	if rem, ok := b.Remaining(); !ok || rem != 0 {
-		t.Fatalf("Remaining = %v,%v, want 0,true", rem, ok)
 	}
 }
 
@@ -296,33 +290,47 @@ func TestConcurrentCancelLandsQuickly(t *testing.T) {
 
 // TestChargeRunMatchesChargeLoop pins ChargeRun to its definition: a run of
 // n nodes succeeds as far as n back-to-back Charge(1) calls would, fails
-// with the same error at the same call, and leaves the same node count.
-// Twin budgets, one charged per node and one per run, walk the same
-// schedule of runs past node caps, expired deadlines under both clock
-// modes, and cancellation.
+// with the same error at the same call, and leaves the same node count on
+// every meter. Twin budgets, one charged per node and one per run, walk the
+// same schedule of runs past node caps, expired deadlines under both clock
+// modes, WithNodes children with caps at both levels, and cancellation.
 func TestChargeRunMatchesChargeLoop(t *testing.T) {
 	past := time.Unix(1, 0)
+	top := func(opt Options) func() *Budget { return func() *Budget { return New(opt) } }
 	cases := []struct {
 		name string
-		opt  func() Options
+		mk   func() *Budget
 		runs []int64
 	}{
-		{"unlimited", func() Options { return Options{} }, []int64{1, 7, 0, 64}},
-		{"cap inside a run", func() Options { return Options{MaxNodes: 10} }, []int64{3, 4, 9, 1, 5}},
-		{"cap at a run end", func() Options { return Options{MaxNodes: 12} }, []int64{6, 6, 1}},
-		{"cap already spent", func() Options { return Options{MaxNodes: 2} }, []int64{2, 5}},
-		{"injected clock expired", func() Options {
+		{"unlimited", top(Options{}), []int64{1, 7, 0, 64}},
+		{"cap inside a run", top(Options{MaxNodes: 10}), []int64{3, 4, 9, 1, 5}},
+		{"cap at a run end", top(Options{MaxNodes: 12}), []int64{6, 6, 1}},
+		{"cap already spent", top(Options{MaxNodes: 2}), []int64{2, 5}},
+		{"injected clock expired", func() *Budget {
 			clk := newFakeClock()
-			return Options{Deadline: past, Clock: clk.Now}
+			return New(Options{Deadline: past, Clock: clk.Now})
 		}, []int64{5, 1}},
-		{"real clock expired", func() Options { return Options{Deadline: past} }, []int64{3, 40, 50, 100}},
-		{"real clock and cap", func() Options { return Options{Deadline: past, MaxNodes: 20} }, []int64{10, 15, 80}},
-		{"real clock cap first", func() Options { return Options{Deadline: past, MaxNodes: 70} }, []int64{60, 30}},
-		{"real clock live", func() Options { return Options{Timeout: time.Hour, MaxNodes: 300} }, []int64{100, 100, 150}},
+		{"real clock expired", top(Options{Deadline: past}), []int64{3, 40, 50, 100}},
+		{"real clock and cap", top(Options{Deadline: past, MaxNodes: 20}), []int64{10, 15, 80}},
+		{"real clock cap first", top(Options{Deadline: past, MaxNodes: 70}), []int64{60, 30}},
+		{"real clock live", top(Options{Timeout: time.Hour, MaxNodes: 300}), []int64{100, 100, 150}},
+		{"child cap first", func() *Budget { return New(Options{MaxNodes: 50}).WithNodes(10) }, []int64{4, 9, 3}},
+		{"parent cap first", func() *Budget { return New(Options{MaxNodes: 10}).WithNodes(50) }, []int64{4, 9, 3}},
+		{"parent partly spent", func() *Budget {
+			p := New(Options{MaxNodes: 12})
+			p.Charge(5)
+			return p.WithNodes(10)
+		}, []int64{6, 4}},
+		{"child of a timeout child", func() *Budget {
+			return New(Options{Deadline: past, MaxNodes: 70}).WithTimeout(time.Hour).WithNodes(30)
+		}, []int64{20, 20, 50}},
+		{"grandchild", func() *Budget {
+			return New(Options{MaxNodes: 40}).WithNodes(25).WithTimeout(time.Hour).WithNodes(12)
+		}, []int64{5, 10, 30}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			loop, run := New(c.opt()), New(c.opt())
+			loop, run := c.mk(), c.mk()
 			for i, n := range c.runs {
 				var wantOK int64
 				var wantErr error
@@ -335,9 +343,15 @@ func TestChargeRunMatchesChargeLoop(t *testing.T) {
 				if gotOK != wantOK || gotErr != wantErr {
 					t.Fatalf("run %d of %d: ChargeRun = (%d, %v), Charge loop = (%d, %v)", i, n, gotOK, gotErr, wantOK, wantErr)
 				}
-				if run.Nodes() != loop.Nodes() || run.s.ticks.Load() != loop.s.ticks.Load() {
-					t.Fatalf("run %d: ChargeRun leaves nodes %d ticks %d, Charge loop %d ticks %d",
-						i, run.Nodes(), run.s.ticks.Load(), loop.Nodes(), loop.s.ticks.Load())
+				for rm, lm := run.m, loop.m; rm != nil; rm, lm = rm.up, lm.up {
+					if rm.nodes.Load() != lm.nodes.Load() {
+						t.Fatalf("run %d: ChargeRun leaves a meter at %d nodes, Charge loop at %d",
+							i, rm.nodes.Load(), lm.nodes.Load())
+					}
+				}
+				if run.s.ticks.Load() != loop.s.ticks.Load() {
+					t.Fatalf("run %d: ChargeRun leaves ticks %d, Charge loop %d",
+						i, run.s.ticks.Load(), loop.s.ticks.Load())
 				}
 			}
 		})
@@ -356,4 +370,68 @@ func TestChargeRunMatchesChargeLoop(t *testing.T) {
 			t.Fatalf("nil ChargeRun = (%d, %v), want (9, nil)", ok, err)
 		}
 	})
+}
+
+// TestWithNodes checks a WithNodes child: its Check and Charge see its own
+// cap, its Nodes counts only what was charged through it, and the parent's
+// Nodes includes the child's charges. Cancellation flows down into the
+// child and not back up.
+func TestWithNodes(t *testing.T) {
+	parent := New(Options{MaxNodes: 100})
+	if err := parent.Charge(30); err != nil {
+		t.Fatal(err)
+	}
+	child := parent.WithNodes(20)
+	if err := child.Charge(20); err != nil {
+		t.Fatalf("charge up to the child cap: %v", err)
+	}
+	if child.Nodes() != 20 || parent.Nodes() != 50 {
+		t.Fatalf("Nodes: child %d, parent %d; want 20, 50", child.Nodes(), parent.Nodes())
+	}
+	if err := child.Check(); !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("child Check at its cap = %v, want ErrNodeCap", err)
+	}
+	if err := parent.Check(); err != nil {
+		t.Fatalf("parent Check under its cap = %v", err)
+	}
+	if err := child.Charge(1); !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("child Charge past its cap = %v, want ErrNodeCap", err)
+	}
+	if parent.Nodes() != 51 {
+		t.Fatalf("parent Nodes = %d, want 51: a failing child charge still counts", parent.Nodes())
+	}
+
+	// A parent cap binds the child even below the child's own cap.
+	wide := New(Options{MaxNodes: 10}).WithNodes(1000)
+	if err := wide.Charge(11); !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("charge past the parent cap through the child = %v, want ErrNodeCap", err)
+	}
+
+	if parent.WithNodes(0) != parent {
+		t.Fatal("WithNodes(0) must return the receiver")
+	}
+	var nilBudget *Budget
+	if nilBudget.WithNodes(0) != nil {
+		t.Fatal("nil WithNodes(0) must stay nil")
+	}
+	if err := nilBudget.WithNodes(3).Charge(4); !errors.Is(err, ErrNodeCap) {
+		t.Fatalf("nil WithNodes(3) after 4 nodes = %v, want ErrNodeCap", err)
+	}
+
+	clk := newFakeClock()
+	timed := New(Options{Timeout: time.Second, Clock: clk.Now})
+	sub := timed.WithNodes(5)
+	clk.Advance(time.Second)
+	if err := sub.Check(); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("child past the parent deadline = %v, want ErrDeadline", err)
+	}
+	sub.Cancel()
+	if timed.Cancelled() {
+		t.Fatal("child Cancel leaked upward to the parent")
+	}
+	other := timed.WithNodes(5)
+	timed.Cancel()
+	if !other.Cancelled() {
+		t.Fatal("parent Cancel did not reach the child")
+	}
 }

@@ -35,18 +35,6 @@ func (r *Result) Slack(t int) int64 { return r.LFT[t] - r.EST[t] - r.Dur[t] }
 // Critical reports whether task t lies on a critical path (zero slack).
 func (r *Result) Critical(t int) bool { return r.Slack(t) == 0 }
 
-// CriticalTasks returns the IDs of all zero-slack tasks in topological
-// order.
-func (r *Result) CriticalTasks() []int {
-	var out []int
-	for _, t := range r.Order {
-		if r.Critical(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Window returns w_t = [T_MIN_t, T_MAX_t].
 func (r *Result) Window(t int) (tmin, tmax int64) { return r.EST[t], r.LFT[t] }
 

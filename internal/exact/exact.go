@@ -19,7 +19,10 @@ import (
 	"time"
 
 	"resched/internal/arch"
+	"resched/internal/budget"
+	"resched/internal/faultinject"
 	"resched/internal/isk"
+	"resched/internal/obs"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
 )
@@ -32,16 +35,21 @@ type Options struct {
 	// ModuleReuse and Prefetch mirror the IS-k capabilities.
 	ModuleReuse bool
 	Prefetch    bool
-	// MaxNodes caps the search (0 = 30 000 000); on overflow the best
-	// incumbent is returned and Stats.Proven is false.
-	MaxNodes int
+	// Budget, when non-nil, bounds the search as it bounds an IS-k run:
+	// charged per node, so a cancel or deadline lands in milliseconds, and
+	// on exhaustion Schedule returns an error matching budget.ErrExhausted.
+	Budget *budget.Budget
+	// Faults and Trace are forwarded to the IS-k run (isk.Options).
+	Faults *faultinject.Set
+	Trace  *obs.Trace
 }
 
 // Stats describes the search effort.
 type Stats struct {
 	// Nodes explored by the branch and bound.
 	Nodes int
-	// Proven is true when the search completed within the node budget.
+	// Proven is true when the search completed within budget.ExactNodes;
+	// on overflow the best incumbent is returned and Proven is false.
 	Proven bool
 	// Elapsed is the wall-clock search time.
 	Elapsed time.Duration
@@ -53,18 +61,16 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	if g.N() > MaxTasks {
 		return nil, nil, fmt.Errorf("exact: %d tasks exceed the exhaustive-search limit of %d", g.N(), MaxTasks)
 	}
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 30_000_000
-	}
 	start := time.Now()
 	sch, ist, err := isk.Schedule(g, a, isk.Options{
-		K:              g.N(),
-		Exhaustive:     true,
-		ModuleReuse:    opts.ModuleReuse,
-		Prefetch:       opts.Prefetch,
-		MaxWindowNodes: maxNodes,
-		SkipFloorplan:  true,
+		K:             g.N(),
+		Exhaustive:    true,
+		ModuleReuse:   opts.ModuleReuse,
+		Prefetch:      opts.Prefetch,
+		SkipFloorplan: true,
+		Budget:        opts.Budget,
+		Faults:        opts.Faults,
+		Trace:         opts.Trace,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -72,7 +78,7 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	sch.Algorithm = "EXACT"
 	return sch, &Stats{
 		Nodes:   ist.Nodes,
-		Proven:  ist.Nodes < maxNodes,
+		Proven:  ist.CappedWindows == 0,
 		Elapsed: time.Since(start),
 	}, nil
 }

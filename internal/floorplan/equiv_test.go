@@ -104,7 +104,7 @@ func referenceSolve(f *arch.Fabric, regions []resources.Vector, opt Options) (re
 	words := (f.Width() + 63) / 64
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
-		maxNodes = defaultMaxNodes
+		maxNodes = budget.FloorplanNodes
 	}
 	area := make([]int, len(regions))
 	for i, cs := range cands {

@@ -141,7 +141,8 @@ func minimalSpans(f *arch.Fabric, req resources.Vector, visit func(x0, x1, h int
 
 // Options tune the search.
 type Options struct {
-	// MaxNodes caps search nodes in this solve (0 = 200 000).
+	// MaxNodes caps search nodes in this solve (0 = budget.FloorplanNodes,
+	// the cap PA and IS-k query with).
 	MaxNodes int
 	// Budget, when non-nil, is charged one unit per search node; exhaustion
 	// (deadline, shared node cap, or cancellation) aborts the search, which

@@ -36,12 +36,14 @@ type Restart struct {
 	// Hint, when it verifies against an attempt's regions, is that
 	// attempt's placement and no query runs; otherwise it is ignored.
 	Hint []Placement
-	// Floorplan configures the queries.
-	Floorplan Options
-	// Budget is checked before every attempt.
+	// Budget is checked before every attempt and charged per node of every
+	// query.
 	Budget *budget.Budget
-	// Trace records an outcome-tagged "<Name>.attempt" span per attempt
-	// and the retry and hint counters. A nil trace is a no-op.
+	// Faults, when armed, can steal a query (see Options.Faults).
+	Faults *faultinject.Set
+	// Trace records an outcome-tagged "<Name>.attempt" span per attempt,
+	// the retry and hint counters and each query's floorplan.solve span. A
+	// nil trace is a no-op.
 	Trace *obs.Trace
 }
 
@@ -58,17 +60,19 @@ type RestartStats struct {
 }
 
 // Run calls attempt at the device capacity and floorplans the region
-// requirements it returns. On a "no" it calls attempt again at a capacity
-// shrunk by shrinkStep per kind, up to retryLimit retries, and then fails
-// with an error matching ErrInfeasible. An exhausted budget fails before
-// the next attempt with an error matching budget.ErrExhausted. The slice
-// attempt returns is read only before the next attempt, so it may alias
-// the attempt's scratch. One Planner serves every retry, so requirements
-// the attempts share keep their search scratch.
+// requirements it returns, each query capped at budget.FloorplanNodes. On a
+// "no" it calls attempt again at a capacity shrunk by shrinkStep per kind,
+// up to retryLimit retries, and then fails with an error matching
+// ErrInfeasible. An exhausted budget fails before the next attempt with an
+// error matching budget.ErrExhausted. The slice attempt returns is read
+// only before the next attempt, so it may alias the attempt's scratch. One
+// Planner serves every retry, so requirements the attempts share keep their
+// search scratch.
 func (r Restart) Run(attempt func(maxRes resources.Vector) ([]resources.Vector, error)) (RestartStats, error) {
 	var stats RestartStats
 	maxRes := r.Arch.MaxRes
 	var planner *Planner
+	query := Options{Budget: r.Budget, Faults: r.Faults, Trace: r.Trace}
 	for n := 0; ; n++ {
 		if err := r.Budget.Check(); err != nil {
 			return RestartStats{}, fmt.Errorf("%s: attempt %d: %w", r.Name, n, err)
@@ -113,7 +117,7 @@ func (r Restart) Run(attempt func(maxRes resources.Vector) ([]resources.Vector, 
 		if planner == nil {
 			planner = NewPlanner(fabric)
 		}
-		res, err := planner.Solve(regions, r.Floorplan)
+		res, err := planner.Solve(regions, query)
 		stats.FloorplanTime += time.Since(fpBegin)
 		sp.End()
 		if err != nil {
@@ -157,20 +161,4 @@ func (r Restart) count(suffix string) {
 	if r.Trace.Enabled() {
 		r.Trace.Count(r.Name+suffix, 1)
 	}
-}
-
-// Inherit returns the options with a nil Budget, Faults or Trace filled
-// from the scheduling run's, so a query is bounded, faulted and traced as
-// the run is unless the caller configured it apart.
-func (o Options) Inherit(b *budget.Budget, f *faultinject.Set, tr *obs.Trace) Options {
-	if o.Budget == nil {
-		o.Budget = b
-	}
-	if o.Faults == nil {
-		o.Faults = f
-	}
-	if o.Trace == nil {
-		o.Trace = tr
-	}
-	return o
 }

@@ -6,6 +6,7 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/budget"
+	"resched/internal/faultinject"
 	"resched/internal/obs"
 	"resched/internal/resources"
 )
@@ -18,10 +19,6 @@ func TestRestart(t *testing.T) {
 	f := a.Fabric
 	small := []resources.Vector{resources.Vec(300, 0, 0), resources.Vec(200, 0, 0)}
 	huge := []resources.Vector{f.Capacity(), resources.Vec(100, 0, 0)} // a proven "no"
-	tight := make([]resources.Vector, 30)                              // a "no" at MaxNodes 1
-	for i := range tight {
-		tight[i] = resources.Vec(300, 0, 0)
-	}
 	good, err := Solve(f, small, Options{})
 	if err != nil || !good.Feasible {
 		t.Fatalf("reference solve: %v, %+v", err, good)
@@ -29,6 +26,8 @@ func TestRestart(t *testing.T) {
 	bad := []Placement{good.Placements[0], good.Placements[0]} // overlapping
 	cancelled := budget.New(budget.Options{})
 	cancelled.Cancel()
+	stolen := faultinject.New() // every query an unproven "no"
+	stolen.ForceFloorplanInfeasible(-1)
 
 	// firstFit answers huge for the first k attempts, small afterwards.
 	firstFit := func(k int) func(int) []resources.Vector {
@@ -64,7 +63,7 @@ func TestRestart(t *testing.T) {
 		{name: "bad hint", restart: Restart{Hint: bad}, regions: always(small), attempts: 1, queries: 1,
 			counters: map[string]int64{"x.floorplan_hint_rejected": 1, "x.floorplan_hint_used": 0}},
 		{name: "skip", restart: Restart{Skip: true}, regions: always(huge), attempts: 1},
-		{name: "unproven", restart: Restart{Floorplan: Options{MaxNodes: 1}}, regions: always(tight),
+		{name: "unproven", restart: Restart{Faults: stolen}, regions: always(small),
 			attempts: 21, retries: 20, queries: 21,
 			counters: map[string]int64{"x.retries": 20, "x.retries_unproven": 20}, wantErr: ErrInfeasible},
 	}
@@ -73,7 +72,6 @@ func TestRestart(t *testing.T) {
 			tr := obs.New()
 			r := c.restart
 			r.Name, r.QuerySpan, r.Arch, r.Trace = "x", "x.floorplan", a, tr
-			r.Floorplan.Trace = tr
 			var caps []resources.Vector
 			stats, err := r.Run(func(maxRes resources.Vector) ([]resources.Vector, error) {
 				caps = append(caps, maxRes)

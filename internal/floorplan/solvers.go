@@ -4,10 +4,9 @@ import (
 	"math/bits"
 	"sort"
 
+	"resched/internal/budget"
 	"resched/internal/resources"
 )
-
-const defaultMaxNodes = 200000
 
 // solveBacktracking runs an exact DFS that assigns one placement per region.
 // Regions are placed biggest minimal footprint first, ties toward fewer
@@ -25,7 +24,7 @@ func (p *Planner) solveBacktracking(regions []resources.Vector, sets []candSet, 
 	f := p.f
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
-		maxNodes = defaultMaxNodes
+		maxNodes = budget.FloorplanNodes
 	}
 	// Biggest-footprint-first ordering (classic bin packing: place the hard
 	// rectangles while the fabric is empty), breaking ties toward regions

@@ -6,6 +6,7 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
+	"resched/internal/budget"
 )
 
 // BenchmarkISKWindow measures one IS-5 window branch and bound in isolation:
@@ -35,7 +36,7 @@ func BenchmarkISKWindow(b *testing.B) {
 			mid := len(order) / 2 / k * k
 			var nodes int
 			for lo := 0; lo < mid; lo += k {
-				if err := st.solveWindow(order[lo:lo+k], 50000, &nodes, nil); err != nil {
+				if err := st.solveWindow(order[lo:lo+k], budget.WindowNodes, &nodes, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -43,7 +44,7 @@ func BenchmarkISKWindow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := st.searchWindow(window, 50000, &nodes, nil); err != nil {
+				if _, err := st.searchWindow(window, budget.WindowNodes, &nodes, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

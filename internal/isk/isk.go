@@ -41,20 +41,16 @@ type Options struct {
 	// feature — the paper attributes it to ref [8] — so it defaults to
 	// off; it is kept as an option for ablation studies.
 	Prefetch bool
-	// MaxWindowNodes caps the branch-and-bound nodes per window; on
-	// overflow the best incumbent is kept (0 = 50 000). The cap plays the
-	// role of the MILP time limit in ref [6].
-	MaxWindowNodes int
 	// Exhaustive disables the per-implementation region shortlist so the
-	// window search enumerates every compatible region. Package exact uses
-	// this with K = |T| to search the whole non-delay schedule space.
+	// window search enumerates every compatible region, and caps each
+	// window at budget.ExactNodes instead of budget.WindowNodes. Package
+	// exact uses this with K = |T| to search the whole non-delay schedule
+	// space.
 	Exhaustive bool
-	// SkipFloorplan omits the floorplanning feasibility loop.
+	// SkipFloorplan omits the floorplanning feasibility loop. Without it a
+	// schedule the floorplanner rejects restarts on a virtually shrunk
+	// device, the same §V-H policy PA applies (floorplan.Restart).
 	SkipFloorplan bool
-	// Floorplan configures the feasibility query; a schedule it rejects
-	// restarts on a virtually shrunk device, the same §V-H policy PA
-	// applies (floorplan.Restart).
-	Floorplan floorplan.Options
 	// Initial, when non-nil and non-empty, is the warm platform state the
 	// run schedules from (schedule.PlatformState, produced by
 	// schedule.Freeze): warm regions become committed regions 0..n-1, their
@@ -66,6 +62,7 @@ type Options struct {
 	// attempt boundary, charged per node inside the window branch-and-bound
 	// and inside floorplan queries, so a cancel lands in milliseconds. On
 	// exhaustion Schedule returns an error matching budget.ErrExhausted.
+	// The window cap, by contrast, only ends one window's search early.
 	Budget *budget.Budget
 	// Faults, when armed, is forwarded to the floorplanner to drive failure
 	// paths deterministically in tests.
@@ -81,9 +78,6 @@ func (o Options) withDefaults() Options {
 	if o.K == 0 {
 		o.K = 1
 	}
-	if o.MaxWindowNodes == 0 {
-		o.MaxWindowNodes = 50000
-	}
 	return o
 }
 
@@ -93,6 +87,9 @@ type Stats struct {
 	Windows int
 	// Nodes is the total branch-and-bound nodes across windows.
 	Nodes int
+	// CappedWindows counts the windows whose search stopped at the window
+	// cap: their plan is the best found, not a proven optimum.
+	CappedWindows int
 	// RestartStats splits the runtime as in Table I and counts the §V-H
 	// attempts and retries; its Placements is the verified floorplan
 	// (empty when SkipFloorplan).
@@ -117,8 +114,8 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 		QuerySpan: "isk.floorplan",
 		Arch:      a,
 		Skip:      opts.SkipFloorplan,
-		Floorplan: opts.Floorplan.Inherit(opts.Budget, opts.Faults, opts.Trace),
 		Budget:    opts.Budget,
+		Faults:    opts.Faults,
 		Trace:     opts.Trace,
 	}.Run(func(maxRes resources.Vector) ([]resources.Vector, error) {
 		var err error
@@ -146,6 +143,10 @@ func run(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vector, opts
 	if err != nil {
 		return nil, err
 	}
+	windowCap := budget.WindowNodes
+	if opts.Exhaustive {
+		windowCap = budget.ExactNodes
+	}
 	for lo := 0; lo < len(order); lo += opts.K {
 		hi := lo + opts.K
 		if hi > len(order) {
@@ -157,9 +158,13 @@ func run(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vector, opts
 		w := opts.Trace.Start("isk.window",
 			obs.Int("window", int64(lo/opts.K)), obs.Int("tasks", int64(len(window))))
 		nodesBefore := stats.Nodes
-		if err := st.solveWindow(window, opts.MaxWindowNodes, &stats.Nodes, opts.Budget); err != nil {
+		if err := st.solveWindow(window, windowCap, &stats.Nodes, opts.Budget); err != nil {
 			w.End(obs.Str("outcome", "error"))
 			return nil, err
+		}
+		if st.ws.nodeBudget <= 0 { // the search spent the window cap
+			stats.CappedWindows++
+			opts.Trace.Count("isk.windows_capped", 1)
 		}
 		w.End(obs.Int("nodes", int64(stats.Nodes-nodesBefore)))
 		opts.Trace.Count("isk.nodes", int64(stats.Nodes-nodesBefore))

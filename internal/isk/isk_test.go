@@ -1,10 +1,12 @@
 package isk
 
 import (
+	"os"
 	"testing"
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
+	"resched/internal/obs"
 	"resched/internal/resources"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
@@ -206,5 +208,33 @@ func TestInvalidInputs(t *testing.T) {
 	noProc.Processors = 0
 	if _, _, err := Schedule(g2, noProc, Options{SkipFloorplan: true}); err == nil {
 		t.Error("SW task with zero processors accepted")
+	}
+}
+
+// TestWindowsCappedOnTG60 pins how many IS-5 windows stop at the window cap
+// on the committed 60-task example (the run `pasched -algo is5` makes: two
+// attempts of 12 windows). A window that reaches the cap keeps its best
+// plan unproven, so the count is the first read of how much of IS-5 is
+// truncated search.
+func TestWindowsCappedOnTG60(t *testing.T) {
+	f, err := os.Open("../../examples/graphs/tg60.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g, err := taskgraph.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	_, stats := mustRun(t, g, arch.ZedBoard(), Options{K: 5, Trace: tr})
+	if stats.Windows != 24 || stats.Nodes != 783864 {
+		t.Fatalf("ran %d windows, %d nodes; want the golden 24, 783864", stats.Windows, stats.Nodes)
+	}
+	if stats.CappedWindows != 11 {
+		t.Errorf("CappedWindows = %d, want 11", stats.CappedWindows)
+	}
+	if got := tr.Snapshot().Counters["isk.windows_capped"]; got != 11 {
+		t.Errorf("isk.windows_capped = %d, want 11", got)
 	}
 }

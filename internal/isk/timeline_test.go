@@ -6,6 +6,7 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
+	"resched/internal/budget"
 	"resched/internal/resources"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
@@ -306,11 +307,11 @@ func TestWindowSearchZeroAllocs(t *testing.T) {
 	// Commit the first window so the searched one sees regions, busy
 	// processors and controller slots.
 	var nodes int
-	if err := st.solveWindow(order[:5], 50000, &nodes, nil); err != nil {
+	if err := st.solveWindow(order[:5], budget.WindowNodes, &nodes, nil); err != nil {
 		t.Fatal(err)
 	}
 	window := order[5:10]
-	plan, err := st.searchWindow(window, 50000, &nodes, nil)
+	plan, err := st.searchWindow(window, budget.WindowNodes, &nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestWindowSearchZeroAllocs(t *testing.T) {
 	}
 	before := nodes
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := st.searchWindow(window, 50000, &nodes, nil); err != nil {
+		if _, err := st.searchWindow(window, budget.WindowNodes, &nodes, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

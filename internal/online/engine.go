@@ -41,12 +41,11 @@ type Config struct {
 	// The default (prefetching on) keeps the solvers' early issue times.
 	DisablePrefetch bool
 	// EpochNodes, when positive, caps each epoch's re-plan at that many
-	// search nodes on a fresh per-epoch budget. When zero, epochs share
-	// Budget below.
+	// search nodes: the re-plan runs under Budget.WithNodes(EpochNodes), so
+	// Budget's deadline, cap and cancellation still reach it.
 	EpochNodes int64
 	// Budget, when non-nil, bounds the whole run: the epoch loop polls it
-	// between epochs and (unless EpochNodes overrides) the solvers poll it
-	// inside each re-plan.
+	// between epochs and the solvers poll it inside each re-plan.
 	Budget *budget.Budget
 	// Faults drives deterministic fault injection: late arrivals here,
 	// solver faults inside the re-plans.
@@ -69,6 +68,11 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 8
+	}
+	if c.Budget == nil && c.EpochNodes > 0 {
+		// An unlimited parent for the epoch caps, so an epoch that runs out
+		// of nodes still notes it in the trace.
+		c.Budget = budget.New(budget.Options{Trace: c.Trace})
 	}
 	return c
 }
@@ -357,17 +361,13 @@ func (e *Engine) solveTail(g *taskgraph.Graph, ps *schedule.PlatformState) (*sch
 	if err != nil {
 		return nil, false, err
 	}
-	eb := e.cfg.Budget
-	if e.cfg.EpochNodes > 0 {
-		eb = budget.New(budget.Options{MaxNodes: e.cfg.EpochNodes, Trace: e.cfg.Trace})
-	}
 	req := &solve.Request{Graph: g, Arch: e.cfg.Arch, Options: solve.Options{
 		ModuleReuse:   e.cfg.ModuleReuse,
 		SkipFloorplan: true,
 		Seed:          e.cfg.Seed,
 		Workers:       e.cfg.Workers,
 		MaxIterations: e.cfg.MaxIterations,
-		Budget:        eb,
+		Budget:        e.cfg.Budget.WithNodes(e.cfg.EpochNodes),
 		Faults:        e.cfg.Faults,
 		Trace:         e.cfg.Trace,
 		Initial:       ps,

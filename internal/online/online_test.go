@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"resched/internal/arch"
 	"resched/internal/budget"
@@ -298,6 +299,31 @@ func TestDegradeToRobust(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("no epoch degraded although the exact solver rejects warm states")
+	}
+}
+
+// TestEpochNodesKeepRunBudget checks an epoch node cap nests under the run
+// budget instead of replacing it: cancelling the run budget mid-epoch, in
+// an engine that sets EpochNodes, ends the epoch's re-plan within 100ms.
+func TestEpochNodesKeepRunBudget(t *testing.T) {
+	b := budget.New(budget.Options{})
+	e, err := New(Config{Arch: arch.ZedBoard(), Solver: "is5", EpochNodes: 1 << 40, Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitTrace(genTrace(t, TraceConfig{Jobs: 1, TasksPerJob: 400, Seed: 8})); err != nil {
+		t.Fatal(err)
+	}
+	cancelled := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		b.Cancel()
+		cancelled <- time.Now()
+	}()
+	_ = e.Run() // the cancel may stop the run or degrade its epoch; both return
+	returned := time.Now()
+	if lag := returned.Sub(<-cancelled); lag > 100*time.Millisecond {
+		t.Fatalf("epoch re-plan returned %v after Cancel, want within 100ms", lag)
 	}
 }
 

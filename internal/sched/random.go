@@ -49,8 +49,6 @@ type RandomOptions struct {
 	Workers int
 	// ModuleReuse is forwarded to the inner scheduler.
 	ModuleReuse bool
-	// Floorplan configures the feasibility queries on improving solutions.
-	Floorplan floorplan.Options
 	// Trace, when non-nil, records the search span, one span per iteration
 	// tagged with its outcome (improved / not-improving / infeasible) on
 	// its worker's own lane under the search span, and the search counters
@@ -241,9 +239,9 @@ func RSchedule(g *taskgraph.Graph, a *arch.Architecture, opts RandomOptions) (*s
 	// TimeBudget child) governs the fallback: a cancel or overall deadline
 	// fails it with a typed budget error.
 	sch, _, err := Schedule(g, a, Options{
-		ModuleReuse: opts.ModuleReuse, Floorplan: opts.Floorplan,
-		Initial: opts.Initial,
-		Budget:  opts.Budget, Faults: opts.Faults, Trace: opts.Trace,
+		ModuleReuse: opts.ModuleReuse,
+		Initial:     opts.Initial,
+		Budget:      opts.Budget, Faults: opts.Faults, Trace: opts.Trace,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sched: PA-R found no feasible schedule: %w", err)
@@ -311,12 +309,12 @@ func (e *engine) runWorker(w int) workerResult {
 		Initial:       opts.Initial,
 		scratch:       &state{},
 	}
-	fpOpts := opts.Floorplan.Inherit(e.bud, opts.Faults, tr)
-	if fpOpts.MaxNodes == 0 {
-		// Bound each feasibility query so a hard instance cannot eat the
-		// whole search budget; an unproven verdict just shrinks the
-		// virtual capacity and moves on.
-		fpOpts.MaxNodes = 20000
+	// Each feasibility query has its own cap so a hard instance cannot eat
+	// the whole search budget; an unproven verdict just shrinks the
+	// virtual capacity and moves on.
+	fpOpts := floorplan.Options{
+		MaxNodes: budget.RandomFloorplanNodes,
+		Budget:   e.bud, Faults: opts.Faults, Trace: tr,
 	}
 	planner := floorplan.NewPlanner(e.fabric)
 	for giter := w; opts.MaxIterations <= 0 || giter < opts.MaxIterations; giter += e.workers {

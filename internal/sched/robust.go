@@ -70,8 +70,6 @@ func (r Rung) String() string {
 type RobustOptions struct {
 	// ModuleReuse is forwarded to every search rung.
 	ModuleReuse bool
-	// Floorplan configures the feasibility queries of the search rungs.
-	Floorplan floorplan.Options
 	// RandomIterations caps the PA-R rung's inner runs (default 32 when
 	// neither it nor RandomTime is set, keeping the rung deterministic).
 	RandomIterations int
@@ -166,7 +164,7 @@ func Robust(g *taskgraph.Graph, a *arch.Architecture, opts RobustOptions) (*Resu
 
 	// Rungs 1+2: deterministic PA with shrink retries.
 	sch, stats, err := Schedule(g, a, Options{
-		ModuleReuse: opts.ModuleReuse, Floorplan: opts.Floorplan,
+		ModuleReuse:   opts.ModuleReuse,
 		Arena:         opts.Arena,
 		Initial:       opts.Initial,
 		FloorplanHint: opts.FloorplanHint,
@@ -193,7 +191,7 @@ func Robust(g *taskgraph.Graph, a *arch.Architecture, opts RobustOptions) (*Resu
 		sch, _, rerr := RSchedule(g, a, RandomOptions{
 			TimeBudget: opts.RandomTime, MaxIterations: opts.RandomIterations,
 			Seed: opts.RandomSeed, ModuleReuse: opts.ModuleReuse,
-			Floorplan: opts.Floorplan, Budget: opts.Budget,
+			Budget:           opts.Budget,
 			Initial:          opts.Initial,
 			InitialIncumbent: opts.InitialIncumbent,
 			Faults:           opts.Faults, Trace: opts.Trace,

@@ -25,13 +25,12 @@ type Options struct {
 	// tasks in a region sharing an implementation name skip the
 	// reconfiguration between them.
 	ModuleReuse bool
-	// SkipFloorplan omits the feasibility check (phase 8). The randomized
-	// scheduler uses this for its inner runs and floorplans only promising
-	// solutions (Algorithm 1).
+	// SkipFloorplan omits the feasibility check (phase 8). Without it a
+	// schedule the floorplanner rejects restarts on a virtually shrunk
+	// device (§V-H, floorplan.Restart). The randomized scheduler skips it
+	// for its inner runs and floorplans only promising solutions
+	// (Algorithm 1).
 	SkipFloorplan bool
-	// Floorplan configures the phase-8 feasibility query; a schedule it
-	// rejects restarts on a virtually shrunk device (§V-H, floorplan.Restart).
-	Floorplan floorplan.Options
 	// Rand, when non-nil, randomizes the non-critical task order in the
 	// regions-definition phase (the PA-R inner run).
 	Rand *rand.Rand
@@ -121,8 +120,8 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 		Arch:      a,
 		Skip:      opts.SkipFloorplan,
 		Hint:      opts.FloorplanHint,
-		Floorplan: opts.Floorplan.Inherit(opts.Budget, opts.Faults, opts.Trace),
 		Budget:    opts.Budget,
+		Faults:    opts.Faults,
 		Trace:     opts.Trace,
 	}.Run(func(maxRes resources.Vector) (regionRes []resources.Vector, err error) {
 		sch, regionRes, err = runPipeline(g, a, maxRes, opts)

@@ -24,8 +24,6 @@ func testRequest(tb testing.TB, solver string, tasks int) *solve.Request {
 		req.Seed, req.Workers, req.MaxIterations = 1, 1, 6
 	case "robust":
 		req.Seed = 1
-	case "exact":
-		req.MaxNodes = 200000
 	}
 	return req
 }

@@ -36,10 +36,13 @@ func (d Digest) less(o Digest) bool { return bytes.Compare(d[:], o[:]) < 0 }
 // taskgraph-JSON graph encoding with the direct field stream below: the
 // exact-hit path must stay O(hash), and reflective JSON encoding was the
 // dominant cost of v1 lookups. v3 dropped the floorplan engine and its
-// candidate cap from the floorplan options, leaving only the node cap.
+// candidate cap from the floorplan options, leaving only the node cap. v4
+// dropped every node cap: the search caps became algorithm constants, and a
+// request's node cap is a Budget, which the store rule keeps out of the
+// cache whenever it binds.
 const (
-	keyVersion      = "schedcache/v3"
-	instanceVersion = "schedcache/v2-instance"
+	keyVersion      = "schedcache/v4"
+	instanceVersion = "schedcache/v3-instance"
 	archVersion     = "schedcache/v2-arch"
 	graphVersion    = "schedcache/v2-graph"
 )
@@ -119,31 +122,21 @@ func computeKeys(req *solve.Request, solver string) cacheKeys {
 	c.buf = append(c.buf, gd[:]...)
 	c.buf = append(c.buf, ad[:]...)
 	c.int(b2i(o.ModuleReuse))
-	fp := func() {
-		c.int(int64(o.Floorplan.MaxNodes))
-	}
 	switch solver {
-	case "pa":
+	case "pa", "is1", "is5":
 		c.int(b2i(o.SkipFloorplan))
-		fp()
 	case "par":
 		// Workers shapes the per-worker RNG streams, so the resolved value
 		// (0 = GOMAXPROCS) is part of the identity; the golden vectors only
 		// pin explicit-Workers keys for that reason.
-		fp()
 		c.int(o.Seed)
 		c.int(int64(resolvedWorkers(o.Workers)))
 		c.int(int64(o.MaxIterations))
-	case "is1", "is5":
-		c.int(b2i(o.SkipFloorplan))
-		fp()
-		c.int(int64(o.MaxNodes))
 	case "exact":
-		c.int(int64(o.MaxNodes))
+		// The exact reference reads nothing beyond ModuleReuse.
 	case "robust":
 		// The ladder's PA-R rung never forwards Workers, so it always runs
 		// at GOMAXPROCS — encode that, not the unread Workers field.
-		fp()
 		c.int(o.Seed)
 		c.int(int64(runtime.GOMAXPROCS(0)))
 		c.int(int64(o.MaxIterations))
@@ -152,12 +145,10 @@ func computeKeys(req *solve.Request, solver string) cacheKeys {
 		// unknown names, so this arm only matters if the roster grows
 		// without a key mask — conservative by construction.
 		c.int(b2i(o.SkipFloorplan))
-		fp()
 		c.int(o.Seed)
 		c.int(int64(o.Workers))
 		c.int(int64(runtime.GOMAXPROCS(0)))
 		c.int(int64(o.MaxIterations))
-		c.int(int64(o.MaxNodes))
 		c.int(int64(o.TimeBudget))
 	}
 	full := c.sum()
@@ -168,7 +159,6 @@ func computeKeys(req *solve.Request, solver string) cacheKeys {
 	c.buf = append(c.buf, ad[:]...)
 	c.int(b2i(o.ModuleReuse))
 	c.int(b2i(o.SkipFloorplan))
-	fp()
 	instance := c.sum()
 
 	return cacheKeys{full: full, instance: instance, arch: ad}

@@ -2,6 +2,7 @@ package schedcache
 
 import (
 	"testing"
+	"time"
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
@@ -33,12 +34,12 @@ func TestKeyGoldenVectors(t *testing.T) {
 	}{
 		{
 			name: "pa-defaults", solver: "pa", mut: func(o *solve.Options) {},
-			want: "ac3f76b6dff0b272ee04bbe0c89bd9d7224353e7b6502df2cbd38db5b90b8ca4",
+			want: "32db56dbcfc8f6151d64fcba35bd8e740f315f66175adb3856d6630ff8458c56",
 		},
 		{
 			name: "pa-reuse", solver: "pa",
 			mut:  func(o *solve.Options) { o.ModuleReuse = true },
-			want: "3f843e0440a618691bf2d8185bf2d246b13b664ba509cef30fbe5e3c46361db1",
+			want: "03bbf42acdf9bf25b3853c0a530cbcc1f58cc5418d8e46eae9f1f204d4bf9b0f",
 		},
 		{
 			name: "par-explicit-workers", solver: "par",
@@ -47,17 +48,17 @@ func TestKeyGoldenVectors(t *testing.T) {
 				o.Workers = 2
 				o.MaxIterations = 8
 			},
-			want: "5f640f5d46b95a18dba9e45a51641f310e7251c506be98fb8df2cf7bde5ced65",
+			want: "fbb252e1a139439b0cb02484086d0932801da3c2773a20e22741f09a4e9f61b5",
 		},
 		{
 			name: "is5", solver: "is5",
-			mut:  func(o *solve.Options) { o.MaxNodes = 1000 },
-			want: "1f3132a67997efec8cd02ee2f6122c70e4cb79127c0040501adf9168151c274e",
+			mut:  func(o *solve.Options) { o.SkipFloorplan = true },
+			want: "24dd7f38fa3b11134204fc50805f644b1fcda7b1286b143c3694d217c30b3ab2",
 		},
 		{
 			name: "exact", solver: "exact",
-			mut:  func(o *solve.Options) { o.MaxNodes = 5000 },
-			want: "a659bc6a18660578bd783885882753f09c4a50acf24e77de521c5e4e6db20b74",
+			mut:  func(o *solve.Options) { o.ModuleReuse = true },
+			want: "36c850836e028b97e2e43fffe37636ac0b790d3a1fce8d6905dc6d8526ad44fd",
 		},
 	}
 	for _, tc := range cases {
@@ -81,7 +82,7 @@ func TestKeyIgnoresUnreadOptions(t *testing.T) {
 	req.Seed = 99
 	req.Workers = 7
 	req.MaxIterations = 1000
-	req.MaxNodes = 123
+	req.TimeBudget = time.Second
 	got := Key(req, "pa")
 	if got != base {
 		t.Fatalf("pa key moved on unread options: %s vs %s", got, base)

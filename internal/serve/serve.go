@@ -570,7 +570,8 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 
 	// The request budget: a child of the server root (so drain can cancel
 	// every in-flight solve at once), clamped to MaxBudget, bridged from
-	// the request context so a client disconnect cancels the solve.
+	// the request context so a client disconnect cancels the solve, and
+	// capped at the request's max_nodes.
 	bud := s.requestBudget(j.req.TimeoutMS)
 	defer bud.Cancel()
 	stop := context.AfterFunc(j.ctx, bud.Cancel)
@@ -578,7 +579,7 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 
 	opts := j.req.options()
 	opts.Arena = arena
-	opts.Budget = bud
+	opts.Budget = bud.WithNodes(int64(j.req.MaxNodes))
 	opts.Faults = s.cfg.Faults
 	opts.Trace = tr
 

@@ -235,6 +235,38 @@ func TestDeadlineBudget504(t *testing.T) {
 	}
 }
 
+// TestExactHonoursRequestBudget: the exact reference runs under the request
+// budget like every solver. A 10ms timeout (on the real clock) and a
+// 1000-node max_nodes each end an 11-task exhaustive search, which runs for
+// seconds unbounded, in a 504 carrying the all-software partial result.
+func TestExactHonoursRequestBudget(t *testing.T) {
+	s := newServer(t, Config{})
+	for _, tc := range []struct {
+		limit  string
+		value  int
+		reason string
+	}{
+		{"timeout_ms", 10, "deadline passed"},
+		{"max_nodes", 1000, "node cap reached"},
+	} {
+		t.Run(tc.limit, func(t *testing.T) {
+			payload := body(t, map[string]any{
+				"solver": "exact", "graph": graphJSON(t, 11, 2024), tc.limit: tc.value,
+			})
+			var er ErrorResponse
+			if code := postRec(t, s.Handler(), payload, &er); code != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504", code)
+			}
+			if er.Reason != tc.reason {
+				t.Fatalf("reason %q, want %q", er.Reason, tc.reason)
+			}
+			if er.Partial == nil || er.Partial.Makespan <= 0 || er.Partial.Rung != sched.SoftwareOnly.String() {
+				t.Fatalf("504 must carry the all-software partial result, got %+v", er.Partial)
+			}
+		})
+	}
+}
+
 // TestMaxBudgetClampsRequests: a client asking for an hour still runs under
 // the server's MaxBudget. Same latency trap as above, but the request asks
 // for a huge timeout and the 5ms server clamp is what trips.

@@ -38,7 +38,10 @@ type SolveRequest struct {
 	MaxIterations int `json:"max_iterations,omitempty"`
 	// TimeBudgetMS is PA-R's wall-clock search budget in milliseconds.
 	TimeBudgetMS int64 `json:"time_budget_ms,omitempty"`
-	MaxNodes     int   `json:"max_nodes,omitempty"`
+	// MaxNodes caps the search nodes of the whole solve, whatever the
+	// solver, as pasched -maxnodes does; 0 means no node cap. A solve that
+	// reaches it answers like one that runs out of time.
+	MaxNodes int `json:"max_nodes,omitempty"`
 	// TimeoutMS is the per-request budget in milliseconds, clamped by the
 	// server's MaxBudget; 0 means "the server's MaxBudget".
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -237,8 +240,9 @@ func readCanonicalRequest(body []byte) (req *SolveRequest, g *taskgraph.Graph, e
 	return req, g, nil
 }
 
-// options assembles the solver options for a request. Budget, Faults,
-// Trace and Arena are owned by the dispatch layer and wired there.
+// options assembles the solver options for a request. Budget (with the
+// request's MaxNodes), Faults, Trace and Arena are owned by the dispatch
+// layer and wired there.
 func (r *SolveRequest) options() solve.Options {
 	workers := r.SearchWorkers
 	if workers == 0 {
@@ -251,7 +255,6 @@ func (r *SolveRequest) options() solve.Options {
 		Workers:       workers,
 		TimeBudget:    time.Duration(r.TimeBudgetMS) * time.Millisecond,
 		MaxIterations: r.MaxIterations,
-		MaxNodes:      r.MaxNodes,
 	}
 }
 

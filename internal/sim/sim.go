@@ -19,7 +19,8 @@
 //
 // Both rules start from warm floors (schedule.PlatformState): processor,
 // region and controller availability and per-task release times. The
-// analytic ASAP oracle reproduces the replay rule.
+// tests check the replay rule against an analytic longest-path oracle
+// (ASAP, in asap_test.go).
 //
 // The paper's evaluation is simulation-based (§VII); this package is the
 // corresponding executable model.

@@ -9,7 +9,7 @@
 // as a pluggable policy over a fixed instance. This package encodes that
 // view: a solve.Request carries the instance (graph + architecture) plus
 // one Options struct with every cross-cutting concern (budget, tracing,
-// fault injection, seed, workers, iteration and node caps), a solve.Solver
+// fault injection, seed, workers, iteration cap), a solve.Solver
 // turns a Request into a solve.Result, and a deterministic registry maps
 // stable names ("pa", "par", "is1", "is5", "exact", "robust") to solvers so
 // frontends — the pasched CLI, the experiments harness, batch servers,
@@ -42,6 +42,13 @@ import (
 // drive any registered solver over the same instance — the property the
 // experiments harness and the CLI dispatch rely on. The zero value asks
 // for the historical defaults of every algorithm.
+//
+// Options holds no search cap. The caps that end one search early — a
+// floorplan query, an IS-k window, the exact reference — are algorithm
+// constants (budget.FloorplanNodes and its siblings). The one node limit a
+// caller sets is a request cap: a Budget with a node cap (budget.Options.
+// MaxNodes, or Budget.WithNodes under a parent budget), which counts the
+// nodes of the whole solve, whatever the solver.
 type Options struct {
 	// ModuleReuse enables module reuse in every solver that supports it.
 	ModuleReuse bool
@@ -49,9 +56,6 @@ type Options struct {
 	// that run one (PA, IS-k). PA-R always floorplans improving solutions
 	// and the exact reference never floorplans; both ignore it.
 	SkipFloorplan bool
-	// Floorplan configures the feasibility queries of the floorplanning
-	// solvers. Its Budget/Faults/Trace fields default to the ones below.
-	Floorplan floorplan.Options
 
 	// Seed drives the seeded randomization of PA-R (and the robust
 	// ladder's PA-R rung). Deterministic solvers ignore it.
@@ -65,10 +69,6 @@ type Options struct {
 	// MaxIterations caps PA-R's inner runs (and the ladder's PA-R rung);
 	// 0 means unlimited (TimeBudget or Budget must then bound the search).
 	MaxIterations int
-	// MaxNodes caps the exhaustive searches: branch-and-bound nodes per
-	// IS-k window and total nodes of the exact reference (0 = each
-	// algorithm's historical default).
-	MaxNodes int
 
 	// Arena, when non-nil, is a caller-owned reusable scratch space for
 	// the deterministic PA pipeline (PA itself and the robust ladder's PA
@@ -78,8 +78,8 @@ type Options struct {
 	// run the PA pipeline ignore it.
 	Arena *sched.Arena
 	// Budget, when non-nil, bounds the whole solve: deadline, cumulative
-	// node cap and cooperative cancellation thread through every solver
-	// layer that supports them.
+	// node cap and cooperative cancellation thread through every layer of
+	// every registered solver.
 	Budget *budget.Budget
 	// Faults, when armed, drives deterministic failure injection through
 	// the floorplanner of every solver.

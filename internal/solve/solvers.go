@@ -31,7 +31,6 @@ func (paSolver) Solve(req *Request) (*Result, error) {
 	sch, stats, err := sched.Schedule(req.Graph, req.Arch, sched.Options{
 		ModuleReuse:   req.ModuleReuse,
 		SkipFloorplan: req.SkipFloorplan,
-		Floorplan:     req.Floorplan,
 		Arena:         req.Arena,
 		Initial:       req.Initial,
 		FloorplanHint: req.FloorplanHint,
@@ -65,7 +64,6 @@ func (parSolver) Solve(req *Request) (*Result, error) {
 		Seed:             req.Seed,
 		Workers:          req.Workers,
 		ModuleReuse:      req.ModuleReuse,
-		Floorplan:        req.Floorplan,
 		Initial:          req.Initial,
 		InitialIncumbent: req.InitialIncumbent,
 		Budget:           req.Budget,
@@ -101,15 +99,13 @@ func (s iskSolver) Name() string { return "is" + strconv.Itoa(s.k) }
 
 func (s iskSolver) Solve(req *Request) (*Result, error) {
 	sch, stats, err := isk.Schedule(req.Graph, req.Arch, isk.Options{
-		K:              s.k,
-		ModuleReuse:    req.ModuleReuse,
-		SkipFloorplan:  req.SkipFloorplan,
-		Floorplan:      req.Floorplan,
-		MaxWindowNodes: req.MaxNodes,
-		Initial:        req.Initial,
-		Budget:         req.Budget,
-		Faults:         req.Faults,
-		Trace:          req.Trace,
+		K:             s.k,
+		ModuleReuse:   req.ModuleReuse,
+		SkipFloorplan: req.SkipFloorplan,
+		Initial:       req.Initial,
+		Budget:        req.Budget,
+		Faults:        req.Faults,
+		Trace:         req.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -140,7 +136,9 @@ func (exactSolver) Solve(req *Request) (*Result, error) {
 	}
 	sch, stats, err := exact.Schedule(req.Graph, req.Arch, exact.Options{
 		ModuleReuse: req.ModuleReuse,
-		MaxNodes:    req.MaxNodes,
+		Budget:      req.Budget,
+		Faults:      req.Faults,
+		Trace:       req.Trace,
 	})
 	if err != nil {
 		return nil, err
@@ -165,7 +163,6 @@ func (robustSolver) Name() string { return "robust" }
 func (robustSolver) Solve(req *Request) (*Result, error) {
 	res, err := sched.Robust(req.Graph, req.Arch, sched.RobustOptions{
 		ModuleReuse:      req.ModuleReuse,
-		Floorplan:        req.Floorplan,
 		RandomIterations: req.MaxIterations,
 		RandomTime:       req.TimeBudget,
 		RandomSeed:       req.Seed,

@@ -237,12 +237,6 @@ func (g *Graph) SuccComm(t int) []int64 { return g.succComm[t] }
 // with Pred(t). The slice must not be modified.
 func (g *Graph) PredComm(t int) []int64 { return g.predComm[t] }
 
-// HasEdge reports whether (from, to) ∈ E.
-func (g *Graph) HasEdge(from, to int) bool {
-	si, pi := g.find(from, to)
-	return si >= 0 || pi >= 0
-}
-
 // Edges returns all edges sorted lexicographically.
 func (g *Graph) Edges() [][2]int {
 	edges, _ := g.sortedEdges(false)
@@ -350,17 +344,6 @@ func (g *Graph) Sources() []int {
 	var out []int
 	for i := range g.Tasks {
 		if len(g.pred[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Sinks returns the IDs of tasks without successors.
-func (g *Graph) Sinks() []int {
-	var out []int
-	for i := range g.Tasks {
-		if len(g.succ[i]) == 0 {
 			out = append(out, i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -55,8 +56,8 @@ func TestAddTaskAssignsIDs(t *testing.T) {
 
 func TestAddEdge(t *testing.T) {
 	g := diamond(t)
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Error("HasEdge direction wrong")
+	if !slices.Contains(g.Succ(0), 1) || slices.Contains(g.Succ(1), 0) {
+		t.Error("edge direction wrong")
 	}
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Errorf("duplicate edge rejected: %v", err)
@@ -85,9 +86,6 @@ func TestSuccPred(t *testing.T) {
 	}
 	if got := g.Sources(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Sources = %v", got)
-	}
-	if got := g.Sinks(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Sinks = %v", got)
 	}
 }
 
@@ -244,7 +242,7 @@ func TestClone(t *testing.T) {
 	// Mutating the clone must not affect the original.
 	c.AddTask("extra", swImpl("s", 1))
 	mustEdge(t, c, 3, 4)
-	if g.N() != 4 || g.HasEdge(3, 4) {
+	if g.N() != 4 || len(g.Succ(3)) != 0 {
 		t.Error("clone mutation leaked into original")
 	}
 	// Implementations are copied by value.
@@ -528,7 +526,7 @@ func TestCommAlignment(t *testing.T) {
 				t.Errorf("%s: EdgeComm%v = %d, want %d", label, e, c, wantComm[i])
 			}
 		}
-		if g.EdgeComm(3, 0) != 0 || g.HasEdge(3, 0) || g.HasEdge(-1, 0) || g.EdgeComm(99, 0) != 0 {
+		if g.EdgeComm(3, 0) != 0 || slices.Contains(g.Succ(3), 0) || g.EdgeComm(-1, 0) != 0 || g.EdgeComm(99, 0) != 0 {
 			t.Errorf("%s: absent edges must report no edge and zero comm", label)
 		}
 	}

@@ -9,70 +9,69 @@ import (
 	"resched/internal/arch"
 	"resched/internal/benchgen"
 	"resched/internal/budget"
+	"resched/internal/exact"
 	"resched/internal/faultinject"
-	"resched/internal/isk"
 	"resched/internal/sched"
 	"resched/internal/schedule"
+	"resched/internal/solve"
 )
 
 // TestCancelledSearchesReturnPromptly is the cancellation-latency
-// guarantee: Cancel on the shared budget, arriving from another goroutine
-// mid-search, makes a 100-task PA-R run and an IS-5 run return — with the
-// best-so-far schedule or a typed budget error — within 100ms. The budget
-// is polled per node inside the floorplanner and at every phase and
-// iteration boundary, so the reaction time is bounded by one uninterrupted
-// stretch of pipeline work, not by the full search.
+// guarantee: Cancel on the request budget, arriving from another goroutine
+// mid-search, makes every registered solver return — with the best-so-far
+// schedule or a typed budget error — within 100ms. The solvers run a
+// 100-task graph, the exact reference (which rejects it) an 11-task one.
+// The budget is polled per node inside the floorplanner and the window
+// searches and at every phase and iteration boundary, so the reaction time
+// is bounded by one uninterrupted stretch of pipeline work, not by the
+// full search.
 func TestCancelledSearchesReturnPromptly(t *testing.T) {
-	g := genGraph(t, benchgen.Config{Tasks: 100, Seed: 2024})
+	big := genGraph(t, benchgen.Config{Tasks: 100, Seed: 2024})
+	small := genGraph(t, benchgen.Config{Tasks: exact.MaxTasks, Seed: 2024})
 	a := arch.ZedBoard()
 
-	check := func(t *testing.T, solve func(*budget.Budget) (*schedule.Schedule, error)) {
-		t.Helper()
-		bud := budget.New(budget.Options{})
-		cancelled := make(chan time.Time, 1)
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			bud.Cancel()
-			cancelled <- time.Now()
-		}()
-		sch, err := solve(bud)
-		returned := time.Now()
-		cancelAt := <-cancelled
-
-		switch {
-		case err == nil:
-			// Finished before the cancel, or the cancel landed after an
-			// incumbent existed: either way the schedule must be valid.
-			if violations := schedule.Check(sch); len(violations) > 0 {
-				t.Fatalf("returned schedule invalid: %v", violations[0])
+	for _, name := range solve.List() {
+		t.Run(name, func(t *testing.T) {
+			sv, err := solve.Get(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case errors.Is(err, sched.ErrBudgetExhausted):
-			// No incumbent yet: the typed budget error is the contract.
-		default:
-			t.Fatalf("unexpected error class: %v", err)
-		}
-		if lag := returned.Sub(cancelAt); lag > 100*time.Millisecond {
-			t.Errorf("solver returned %v after Cancel, want within 100ms", lag)
-		}
-	}
+			g := big
+			if name == "exact" {
+				g = small
+			}
+			bud := budget.New(budget.Options{})
+			cancelled := make(chan time.Time, 1)
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				bud.Cancel()
+				cancelled <- time.Now()
+			}()
+			// No iteration cap and no time budget: only the cancel stops
+			// PA-R.
+			res, err := sv.Solve(&solve.Request{Graph: g, Arch: a, Options: solve.Options{
+				ModuleReuse: true, Seed: 1, Budget: bud,
+			}})
+			returned := time.Now()
+			cancelAt := <-cancelled
 
-	t.Run("PA-R", func(t *testing.T) {
-		check(t, func(bud *budget.Budget) (*schedule.Schedule, error) {
-			// No iteration cap and no time budget: only the cancel stops it.
-			s, _, err := sched.RSchedule(g, a, sched.RandomOptions{
-				Seed: 1, ModuleReuse: true, Budget: bud,
-			})
-			return s, err
+			switch {
+			case err == nil:
+				// Finished before the cancel, or the cancel landed after an
+				// incumbent existed: either way the schedule must be valid.
+				if violations := schedule.Check(res.Schedule); len(violations) > 0 {
+					t.Fatalf("returned schedule invalid: %v", violations[0])
+				}
+			case errors.Is(err, sched.ErrBudgetExhausted):
+				// No incumbent yet: the typed budget error is the contract.
+			default:
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			if lag := returned.Sub(cancelAt); lag > 100*time.Millisecond {
+				t.Errorf("solver returned %v after Cancel, want within 100ms", lag)
+			}
 		})
-	})
-	t.Run("IS-5", func(t *testing.T) {
-		check(t, func(bud *budget.Budget) (*schedule.Schedule, error) {
-			s, _, err := isk.Schedule(g, a, isk.Options{
-				K: 5, ModuleReuse: true, Budget: bud,
-			})
-			return s, err
-		})
-	})
+	}
 }
 
 // TestBudgetedRunsStayDeterministic supplies a generous fake-clock budget
