@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check tracked-ignored vet build test race digest reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke serve-bench online-smoke
+.PHONY: verify fmt-check tracked-ignored vet build test race digest reschedvet solvecheck bench bench-all benchcmp fuzz obs-smoke serve-smoke online-smoke
 
 verify: fmt-check tracked-ignored vet build race digest reschedvet solvecheck
 	@echo "verify: all gates passed"
@@ -140,10 +140,3 @@ online-smoke:
 	$(GO) run ./cmd/obscheck -require-counters online.epochs,online.prefetch_hits \
 		$(ONLINE_SMOKE_DIR)/trace.json $(ONLINE_SMOKE_DIR)/metrics.json $(ONLINE_SMOKE_DIR)/events.json
 	@echo "online-smoke: artefacts in $(ONLINE_SMOKE_DIR)/"
-
-# serve-bench refreshes the committed serving-throughput baseline: the same
-# smoke pipeline but with the full request count, writing BENCH_serve.json
-# at the repo root for cross-PR diffing.
-serve-bench:
-	SERVE_SMOKE_DIR=$(SERVE_SMOKE_DIR) GO=$(GO) LOAD_N=120 LOAD_C=6 \
-		BENCH_OUT=BENCH_serve.json sh scripts/serve_smoke.sh

@@ -18,7 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -81,8 +80,13 @@ func run() (retErr error) {
 	// Deferred so the artefacts are written even when the sweep fails or is
 	// cut short: an exhausted or aborted run is when the recorder matters.
 	defer func() {
-		if err := exportObservability(trace, *tracePath, *metricsPath, *eventsPath); err != nil && retErr == nil {
+		if err := trace.WriteFiles(*tracePath, *metricsPath, *eventsPath); err != nil && retErr == nil {
 			retErr = err
+		}
+		if trace != nil {
+			if err := trace.WriteSummary(os.Stderr); err != nil && retErr == nil {
+				retErr = err
+			}
 		}
 	}()
 	// The live surface is the point of -serve-debug on this command: a
@@ -194,37 +198,4 @@ func run() (retErr error) {
 		}
 	}
 	return nil
-}
-
-// exportObservability writes the trace-event, metrics and events files and
-// prints the summary to stderr when tracing was enabled; it runs deferred
-// so failed or budget-cut sweeps still export what they recorded.
-func exportObservability(trace *obs.Trace, tracePath, metricsPath, eventsPath string) error {
-	if trace == nil {
-		return nil
-	}
-	writeFile := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeFile(tracePath, trace.WriteChromeTrace); err != nil {
-		return err
-	}
-	if err := writeFile(metricsPath, trace.WriteMetricsJSON); err != nil {
-		return err
-	}
-	if err := writeFile(eventsPath, trace.WriteEventsJSON); err != nil {
-		return err
-	}
-	return trace.WriteSummary(os.Stderr)
 }

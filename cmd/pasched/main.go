@@ -42,7 +42,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -169,8 +168,14 @@ func run() (retErr error) {
 	// Deferred so the artefacts are written on failure too: a budget-exhausted
 	// or faulted run is exactly when the flight recorder matters most.
 	defer func() {
-		if err := writeObservability(trace, *tracePath, *metricsPath, *eventsPath); err != nil && retErr == nil {
+		if err := trace.WriteFiles(*tracePath, *metricsPath, *eventsPath); err != nil && retErr == nil {
 			retErr = err
+		}
+		if trace != nil {
+			// The summary table (spans, histograms, counters, event tail).
+			if err := trace.WriteSummary(os.Stderr); err != nil && retErr == nil {
+				retErr = err
+			}
 		}
 	}()
 	if *serveDebug != "" {
@@ -287,37 +292,4 @@ func run() (retErr error) {
 		}
 	}
 	return nil
-}
-
-// writeObservability exports the trace-event, metrics and events files and
-// prints the summary table (spans, histograms, counters, event tail) to
-// stderr when tracing was enabled.
-func writeObservability(trace *obs.Trace, tracePath, metricsPath, eventsPath string) error {
-	if trace == nil {
-		return nil
-	}
-	writeFile := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeFile(tracePath, trace.WriteChromeTrace); err != nil {
-		return err
-	}
-	if err := writeFile(metricsPath, trace.WriteMetricsJSON); err != nil {
-		return err
-	}
-	if err := writeFile(eventsPath, trace.WriteEventsJSON); err != nil {
-		return err
-	}
-	return trace.WriteSummary(os.Stderr)
 }

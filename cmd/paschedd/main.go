@@ -28,7 +28,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -135,34 +134,5 @@ func run() error {
 	_ = httpSrv.Close()
 	fmt.Fprintf(os.Stderr, "paschedd: drained (queued=%d in_flight=%d forced=%v)\n",
 		rep.Queued, rep.InFlight, rep.Forced)
-	if err := writeObservability(trace, *tracePath, *metricsPath, *eventsPath); err != nil {
-		return err
-	}
-	return nil
-}
-
-// writeObservability flushes the three obs artefacts on drain, mirroring
-// cmd/pasched so cmd/obscheck validates both batch and serving runs.
-func writeObservability(trace *obs.Trace, tracePath, metricsPath, eventsPath string) error {
-	writeFile := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeFile(tracePath, trace.WriteChromeTrace); err != nil {
-		return err
-	}
-	if err := writeFile(metricsPath, trace.WriteMetricsJSON); err != nil {
-		return err
-	}
-	return writeFile(eventsPath, trace.WriteEventsJSON)
+	return trace.WriteFiles(*tracePath, *metricsPath, *eventsPath)
 }

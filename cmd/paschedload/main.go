@@ -2,15 +2,16 @@
 // fires seeded benchgen task graphs at a running daemon from a pool of
 // concurrent clients, retries load-shed responses with capped exponential
 // backoff plus seeded jitter, and reports client-side throughput and
-// latency quantiles in the cmd/benchjson document format (committed as
-// BENCH_serve.json by `make serve-bench`).
+// latency quantiles in the cmd/benchjson document format. It is the
+// client of `make serve-smoke`; perfbench's serve-mix workload, not this
+// report, measures serving speed.
 //
 // Usage:
 //
 //	paschedload -url http://127.0.0.1:8080 [-n 200] [-c 8] [-rate 0]
 //	            [-solver robust] [-arch ""] [-tasks 24] [-graphs 4]
 //	            [-seed 1] [-timeout-ms 0] [-max-retries 8]
-//	            [-backoff 5ms] [-backoff-cap 250ms] [-o BENCH_serve.json]
+//	            [-backoff 5ms] [-backoff-cap 250ms] [-o load.json]
 //	            [-repeat-frac 0] [-perturb-frac 0]
 //
 // Cache exercise: -repeat-frac re-sends one of the base bodies verbatim

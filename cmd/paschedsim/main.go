@@ -152,7 +152,7 @@ func run() error {
 		fmt.Printf("  stall hidden by prefetching: %d ticks\n", totalStall(without)-totalStall(with))
 	}
 
-	return writeObservability(trace, *tracePath, *metricsPath, *eventsPath)
+	return trace.WriteFiles(*tracePath, *metricsPath, *eventsPath)
 }
 
 // replay generates the trace, runs the engine over it, and verifies the
@@ -299,30 +299,4 @@ func writeSummary(w io.Writer, tc online.TraceConfig, cfg online.Config, res *on
 		Clairvoyant:     res.ClairvoyantMakespan,
 		ClairvoyantGap:  res.ClairvoyantGap,
 	})
-}
-
-// writeObservability flushes the obs artefacts, mirroring cmd/pasched and
-// cmd/paschedd so cmd/obscheck validates online runs the same way.
-func writeObservability(trace *obs.Trace, tracePath, metricsPath, eventsPath string) error {
-	writeFile := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeFile(tracePath, trace.WriteChromeTrace); err != nil {
-		return err
-	}
-	if err := writeFile(metricsPath, trace.WriteMetricsJSON); err != nil {
-		return err
-	}
-	return writeFile(eventsPath, trace.WriteEventsJSON)
 }

@@ -7,7 +7,6 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
-	"resched/internal/exact"
 	"resched/internal/schedule"
 	"resched/internal/solve"
 )
@@ -35,7 +34,7 @@ func TestRegistryDeterminism(t *testing.T) {
 			// ceiling.
 			g := big
 			if name == "exact" {
-				g = genGraph(t, benchgen.Config{Tasks: exact.MaxTasks - 2, Seed: 424242})
+				g = genGraph(t, benchgen.Config{Tasks: solve.ExactMaxTasks - 2, Seed: 424242})
 			}
 			run := func() *solve.Result {
 				t.Helper()

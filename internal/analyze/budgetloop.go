@@ -15,7 +15,7 @@ import (
 // The callee analysis uses the module-wide index (Module.PollsBudget), so a
 // loop whose body only calls sched.runPipeline still counts as polling when
 // runPipeline charges the budget three packages away. The check is scoped to
-// the solver packages (sched, isk, floorplan, exact) plus the
+// the solver packages (sched, isk, floorplan) plus the
 // online engine, whose epoch re-plan loop runs a full solve per turn and must
 // stay interruptible between epochs: elsewhere an unbounded loop is an
 // ordinary event loop, not a solve.
@@ -29,7 +29,7 @@ var BudgetLoop = &Analyzer{
 // unbounded loops must stay budget-aware: the solvers, and the online engine
 // whose epoch loop dispatches a solve per iteration.
 var budgetLoopScope = map[string]bool{
-	"sched": true, "isk": true, "floorplan": true, "exact": true,
+	"sched": true, "isk": true, "floorplan": true,
 	"online": true,
 }
 

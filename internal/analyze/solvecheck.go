@@ -25,8 +25,9 @@ var SolveCheck = &Analyzer{
 }
 
 // solveCheckExempt lists the packages whose job is exactly this translation:
-// the solve adapters themselves, and sched, whose Robust ladder runs PA and
-// PA-R and whose PA-R search builds its own floorplan queries.
+// the solve adapters themselves (the composite robust and exact solvers
+// included), and sched, whose PA-R search runs PA inner runs and builds its
+// own floorplan queries.
 var solveCheckExempt = map[string]bool{
 	"resched/internal/solve": true,
 	"resched/internal/sched": true,

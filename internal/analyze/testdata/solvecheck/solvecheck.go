@@ -24,7 +24,7 @@ type RandomOptions struct {
 	Trace  *Trace
 }
 
-// LadderOptions mirrors a third family's carrier (sched.RobustOptions).
+// LadderOptions mirrors a third family's carrier (isk.Options).
 type LadderOptions struct {
 	Retries int
 	Budget  *Budget

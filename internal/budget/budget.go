@@ -7,8 +7,8 @@
 //
 // A request cap is the Budget tree: wall-clock deadlines, node caps and
 // cooperative cancellation behind a single Budget type threaded through
-// floorplan.Options, sched.Options/RandomOptions, isk.Options and
-// exact.Options. Exhausting it ends the whole request.
+// floorplan.Options, sched.Options/RandomOptions and isk.Options.
+// Exhausting it ends the whole request.
 //
 // Before this package each solver rolled its own deadline idiom with direct
 // time.Now() comparisons; the reschedvet rawclock analyzer now rejects that
@@ -151,8 +151,8 @@ type Options struct {
 	Clock Clock
 	// Trace, when non-nil, receives one "budget.exhausted" flight-recorder
 	// event the first time the budget (or any WithTimeout child — the note
-	// is once per tree, and once per WithNodes subtree) fails a Charge or
-	// Check, tagged with the reason.
+	// is once per tree, and once per WithNodes or WithOwnNote subtree)
+	// fails a Charge or Check, tagged with the reason.
 	// Recording never alters what Charge/Check return.
 	Trace *obs.Trace
 }
@@ -259,6 +259,23 @@ func (b *Budget) WithTimeout(d time.Duration) *Budget {
 	return &child
 }
 
+// WithOwnNote derives a child budget identical to the receiver — deadline,
+// node accounting, clock, trace and cancellation — whose subtree notes its
+// first failure in the trace on its own, as a WithNodes child does. A
+// server gives one to every request it derives from its root, so each
+// request that runs dry records its own event. It holds nothing that needs
+// releasing; its Cancel retires only the child. On a nil receiver it
+// returns nil.
+func (b *Budget) WithOwnNote() *Budget {
+	if b == nil {
+		return nil
+	}
+	child := *b
+	child.s = &shared{trace: b.s.trace}
+	child.cancel = &cancelNode{parent: b.cancel}
+	return &child
+}
+
 // WithNodes derives a child budget that may charge at most n nodes of its
 // own. The child counts only the nodes charged through it (and its own
 // children), charges every ancestor's count too, and shares the receiver's
@@ -274,13 +291,11 @@ func (b *Budget) WithNodes(n int64) *Budget {
 	if b == nil {
 		return New(Options{MaxNodes: n})
 	}
-	child := *b
-	// A fresh shared state gives the child its own exhaustion note: each
-	// request or epoch cap that binds records its own event.
-	child.s = &shared{trace: b.s.trace}
+	// Its own note: each request or epoch cap that binds records its own
+	// event.
+	child := b.WithOwnNote()
 	child.m = &meter{max: n, up: b.m}
-	child.cancel = &cancelNode{parent: b.cancel}
-	return &child
+	return child
 }
 
 // Cancel trips the budget and every budget derived from it:

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"resched/internal/obs"
 )
 
 // fakeClock is a hand-advanced time source local to these tests; pipeline
@@ -434,4 +436,43 @@ func TestWithNodes(t *testing.T) {
 	if !other.Cancelled() {
 		t.Fatal("parent Cancel did not reach the child")
 	}
+}
+
+// TestWithOwnNote: every WithOwnNote child of one root notes its own first
+// failure, while WithTimeout children share the root's single note.
+func TestWithOwnNote(t *testing.T) {
+	tr := obs.New()
+	root := New(Options{Trace: tr})
+	for i := 0; i < 3; i++ {
+		req := root.WithOwnNote()
+		req.Cancel()
+		if err := req.Check(); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("cancelled child Check = %v, want ErrCancelled", err)
+		}
+		if root.Cancelled() {
+			t.Fatal("child Cancel leaked upward to the root")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		child := root.WithTimeout(time.Hour)
+		child.Cancel()
+		_ = child.Check()
+	}
+	if got := countEvents(tr, "budget.exhausted"); got != 4 {
+		t.Fatalf("budget.exhausted events = %d, want 3 own notes + 1 shared", got)
+	}
+	var nilBudget *Budget
+	if nilBudget.WithOwnNote() != nil {
+		t.Fatal("nil WithOwnNote must stay nil")
+	}
+}
+
+func countEvents(tr *obs.Trace, name string) int {
+	n := 0
+	for _, e := range tr.Snapshot().Events {
+		if e.Name == name {
+			n++
+		}
+	}
+	return n
 }

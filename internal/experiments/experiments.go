@@ -24,7 +24,6 @@ import (
 	"resched/internal/budget"
 	"resched/internal/faultinject"
 	"resched/internal/obs"
-	"resched/internal/sched"
 	"resched/internal/schedule"
 	"resched/internal/solve"
 	"resched/internal/taskgraph"
@@ -70,8 +69,8 @@ type Config struct {
 	// Faults, when armed, is forwarded into every scheduler to drive
 	// failure paths deterministically.
 	Faults *faultinject.Set
-	// Robust additionally runs the sched.Robust degradation ladder on each
-	// instance and records which rung fired (InstanceResult.Robust).
+	// Robust additionally runs the robust solver's degradation ladder on
+	// each instance and records which rung fired (InstanceResult.Robust).
 	Robust bool
 	// Trace, when non-nil, records one span per (instance, algorithm) pair
 	// and forwards the trace into every scheduler so their attempt, phase
@@ -154,78 +153,43 @@ func Run(cfg Config, progress func(done, total int)) ([]InstanceResult, error) {
 		perGroup[e.Group]++
 		selected = append(selected, e)
 	}
-	if cfg.Workers > 1 {
-		return runParallel(cfg, selected, progress)
-	}
-	var out []InstanceResult
-	for i, e := range selected {
-		if berr := cfg.Budget.Check(); berr != nil {
-			// Early stop: hand back what completed with the typed reason
-			// so callers can aggregate the partial run.
-			return out, fmt.Errorf("experiments: stopped after %d/%d instances: %w",
-				len(out), len(selected), berr)
-		}
-		r, err := runInstance(cfg, e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-		if progress != nil {
-			progress(i+1, len(selected))
-		}
-	}
-	return out, nil
+	return runSelected(cfg, selected, progress)
 }
 
-// runParallel evaluates the selected instances on a bounded worker pool.
-// Each worker claims the next undispatched instance and writes its result
-// into that instance's slot, so the returned slice keeps suite order no
-// matter how completions interleave. The progress callback sees completion
-// counts (not suite positions) and may be called from worker goroutines.
-func runParallel(cfg Config, selected []benchgen.SuiteEntry, progress func(done, total int)) ([]InstanceResult, error) {
-	workers := cfg.Workers
-	if workers > len(selected) {
-		workers = len(selected)
-	}
+// runSelected evaluates the selected instances on forEachIndex. Each
+// instance writes its result into its own slot, so the returned slice keeps
+// suite order no matter how completions interleave. The progress callback
+// sees completion counts (not suite positions) and, with Workers > 1, may
+// be called from worker goroutines. A hard error poisons the run; an
+// exhausted budget stops it early and hands back what completed with the
+// typed reason, so callers can aggregate the partial run.
+func runSelected(cfg Config, selected []benchgen.SuiteEntry, progress func(done, total int)) ([]InstanceResult, error) {
 	type slot struct {
 		res  InstanceResult
 		err  error
 		done bool
 	}
 	slots := make([]slot, len(selected))
-	var next, completed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				if cfg.Budget.Check() != nil {
-					// Budget exhausted: stop claiming; the slot stays
-					// undone and the fan-in reports the partial run.
-					return
-				}
-				icfg := cfg
-				icfg.Trace = cfg.Trace.Lane()
-				r, err := runInstance(icfg, selected[i])
-				slots[i] = slot{res: r, err: err, done: true}
-				if err != nil {
-					// A hard error poisons the run (matching the
-					// sequential path); stop claiming new work.
-					next.Store(int64(len(selected)))
-					return
-				}
-				if progress != nil {
-					progress(int(completed.Add(1)), len(selected))
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	var completed atomic.Int64
+	forEachIndex(len(selected), cfg.Workers, func(i int) bool {
+		if cfg.Budget.Check() != nil {
+			return false
+		}
+		icfg := cfg
+		if cfg.Workers > 1 {
+			// Concurrent instances each record on a lane of their own.
+			icfg.Trace = cfg.Trace.Lane()
+		}
+		r, err := runInstance(icfg, selected[i])
+		slots[i] = slot{res: r, err: err, done: true}
+		if err != nil {
+			return false
+		}
+		if progress != nil {
+			progress(int(completed.Add(1)), len(selected))
+		}
+		return true
+	})
 
 	out := make([]InstanceResult, 0, len(selected))
 	for i := range slots {
@@ -243,6 +207,41 @@ func runParallel(cfg Config, selected []benchgen.SuiteEntry, progress func(done,
 		}
 	}
 	return out, nil
+}
+
+// forEachIndex calls fn(i) for every i in [0, n), handing the indices out
+// in order: inline on the calling goroutine when workers ≤ 1, otherwise on
+// min(workers, n) goroutines. Once fn returns false no further index is
+// handed out; calls already running finish. Callers that write fn's result
+// into slot i get the same output at any worker count.
+func forEachIndex(n, workers int, fn func(i int) bool) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if !fn(i) {
+				return
+			}
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if !fn(i) {
+					next.Store(int64(n))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func runInstance(cfg Config, e benchgen.SuiteEntry) (InstanceResult, error) {
@@ -337,7 +336,7 @@ func runInstance(cfg Config, e benchgen.SuiteEntry) (InstanceResult, error) {
 // RobustResult is the degradation ladder's outcome on one instance.
 type RobustResult struct {
 	Makespan int64
-	Rung     sched.Rung
+	Rung     solve.Rung
 	// Degraded reports that at least one rung above the final one failed.
 	Degraded bool
 	Total    time.Duration

@@ -7,12 +7,11 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
-	"resched/internal/exact"
 	"resched/internal/solve"
 )
 
 // OptGapConfig drives the optimality-gap study: on instances small enough
-// for the exhaustive reference (package exact), how far from the best
+// for the exhaustive reference (the "exact" solver), how far from the best
 // non-delay schedule do the heuristics land? The paper cannot report this
 // (its exact MILP never terminates beyond toy sizes); with the fast
 // reproduction substrate the measurement becomes feasible.
@@ -56,8 +55,8 @@ func RunOptGap(cfg OptGapConfig) ([]OptGapPoint, error) {
 	a := arch.MicroZed7010()
 	var out []OptGapPoint
 	for _, n := range cfg.Sizes {
-		if n > exact.MaxTasks {
-			return nil, fmt.Errorf("experiments: size %d exceeds the exact-search limit %d", n, exact.MaxTasks)
+		if n > solve.ExactMaxTasks {
+			return nil, fmt.Errorf("experiments: size %d exceeds the exact-search limit %d", n, solve.ExactMaxTasks)
 		}
 		pt := OptGapPoint{Tasks: n}
 		for idx := 0; idx < cfg.Instances; idx++ {

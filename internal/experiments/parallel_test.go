@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,18 +27,19 @@ func TestRunWorkersPreservesOrderAndResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 3
-	var calls int
+	// Progress may be called from worker goroutines, concurrently.
+	var calls atomic.Int64
 	par, err := Run(cfg, func(done, total int) {
-		calls++
+		calls.Add(1)
 		if total != len(seq) {
-			t.Fatalf("progress total = %d, want %d", total, len(seq))
+			t.Errorf("progress total = %d, want %d", total, len(seq))
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != len(seq) {
-		t.Errorf("progress called %d times, want %d", calls, len(seq))
+	if n := calls.Load(); n != int64(len(seq)) {
+		t.Errorf("progress called %d times, want %d", n, len(seq))
 	}
 	if len(par) != len(seq) {
 		t.Fatalf("pooled run returned %d instances, sequential %d", len(par), len(seq))

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"resched/internal/arch"
@@ -107,32 +105,10 @@ func RunParallelism(cfg ParallelismConfig) ([]ParallelismPoint, error) {
 		}
 		results[j].par, results[j].is5 = par.Makespan, is5.Makespan
 	}
-	if cfg.Workers > 1 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		workers := cfg.Workers
-		if workers > jobs {
-			workers = jobs
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= jobs {
-						return
-					}
-					runJob(j)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for j := 0; j < jobs; j++ {
-			runJob(j)
-		}
-	}
+	forEachIndex(jobs, cfg.Workers, func(j int) bool {
+		runJob(j)
+		return true
+	})
 
 	var out []ParallelismPoint
 	for li, layers := range cfg.Layers {

@@ -5,8 +5,8 @@
 // delaying online job arrivals. A Set is plugged through floorplan.Options,
 // sched.Options/RandomOptions, isk.Options, the serving config and the
 // online engine, so a test (or a pasched -fault-* flag) can exercise every
-// rung of the sched.Robust degradation ladder and every cancellation path
-// without constructing a pathological instance. Every armable fault has a
+// rung of the robust solver's degradation ladder and every cancellation
+// path without constructing a pathological instance. Every armable fault has a
 // hook on a production path: FloorplanSolve, ServeDispatch or LateArrival.
 //
 // Every fault is counted, never random: "next 3 solves" means exactly the
@@ -62,7 +62,6 @@ func (c *Clock) Advance(d time.Duration) {
 const (
 	FaultFloorplanInfeasible = "floorplan-infeasible"
 	FaultSolverLatency       = "solver-latency"
-	FaultServeLatency        = "serve-latency"
 	FaultServeQueueFull      = "serve-queue-full"
 	FaultLateArrival         = "late-arrival"
 )
@@ -78,8 +77,6 @@ type Set struct {
 	lateDelay    int64
 	latency      time.Duration
 	clock        *Clock
-	serveLatency time.Duration
-	serveClock   *Clock
 	fired        map[string]int
 	trace        *obs.Trace
 }
@@ -156,20 +153,9 @@ func (s *Set) LateArrival() (int64, bool) {
 	return s.lateDelay, true
 }
 
-// SetServeLatency makes every serving-path dispatch advance clk by d before
-// the request reaches admission control, simulating a slow ingress against
-// per-request budget deadlines on the same clock. It is independent of
-// SetSolverLatency so ingress and solver slowness compose.
-func (s *Set) SetServeLatency(d time.Duration, clk *Clock) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serveLatency = d
-	s.serveClock = clk
-}
-
 // ServeDispatch is the serving-path hook, consumed once per request before
-// admission control: it applies armed ingress latency and reports whether
-// the admission must be treated as queue-full. The solver-side hook
+// admission control: it reports whether the admission must be treated as
+// queue-full. The solver-side hook
 // (FloorplanSolve) stays untouched, so chaos tests exercise the
 // serving path without reaching into solver options. Nil-safe.
 func (s *Set) ServeDispatch() (forceQueueFull bool) {
@@ -178,10 +164,6 @@ func (s *Set) ServeDispatch() (forceQueueFull bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.serveLatency > 0 && s.serveClock != nil {
-		s.serveClock.Advance(s.serveLatency)
-		s.recordLocked(FaultServeLatency)
-	}
 	if s.queueFull == 0 {
 		return false
 	}
@@ -240,9 +222,6 @@ func (s *Set) Armed() []string {
 	}
 	if s.latency > 0 && s.clock != nil {
 		names = append(names, FaultSolverLatency)
-	}
-	if s.serveLatency > 0 && s.serveClock != nil {
-		names = append(names, FaultServeLatency)
 	}
 	if s.queueFull != 0 {
 		names = append(names, FaultServeQueueFull)

@@ -114,34 +114,11 @@ func TestServeDispatchForcesQueueFull(t *testing.T) {
 	}
 }
 
-func TestServeLatencyAdvancesOwnClock(t *testing.T) {
-	clk := NewClock()
-	s := New()
-	s.SetServeLatency(7*time.Millisecond, clk)
-	before := clk.Now()
-	if s.ServeDispatch() {
-		t.Fatal("latency-only set forced queue-full")
-	}
-	if got := clk.Now().Sub(before); got != 7*time.Millisecond {
-		t.Fatalf("serve latency advanced clock by %v, want 7ms", got)
-	}
-	// The serving-path latency is independent of the solver-side hook.
-	if s.FloorplanSolve() {
-		t.Fatal("floorplan solve stolen")
-	}
-	if got := clk.Now().Sub(before); got != 7*time.Millisecond {
-		t.Fatalf("solver hook advanced the serve clock: %v", got)
-	}
-	if n := s.Fired(FaultServeLatency); n != 1 {
-		t.Fatalf("Fired(serve-latency) = %d, want 1", n)
-	}
-}
-
 func TestArmedIncludesServeFaults(t *testing.T) {
 	s := New()
 	s.ForceQueueFull(1)
-	s.SetServeLatency(time.Millisecond, NewClock())
-	want := []string{FaultServeLatency, FaultServeQueueFull}
+	s.ForceLateArrival(1, 5)
+	want := []string{FaultLateArrival, FaultServeQueueFull}
 	if got := s.Armed(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Armed = %v, want %v", got, want)
 	}

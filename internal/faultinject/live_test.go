@@ -37,7 +37,6 @@ func TestEveryFaultFiresThroughALiveHook(t *testing.T) {
 	}{
 		{FaultFloorplanInfeasible, func(s *Set) { s.ForceFloorplanInfeasible(1) }, "FloorplanSolve", true},
 		{FaultSolverLatency, func(s *Set) { s.SetSolverLatency(time.Millisecond, NewClock()) }, "FloorplanSolve", false},
-		{FaultServeLatency, func(s *Set) { s.SetServeLatency(time.Millisecond, NewClock()) }, "ServeDispatch", false},
 		{FaultServeQueueFull, func(s *Set) { s.ForceQueueFull(1) }, "ServeDispatch", true},
 		{FaultLateArrival, func(s *Set) { s.ForceLateArrival(1, 5) }, "LateArrival", true},
 	}

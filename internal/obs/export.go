@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 )
@@ -205,6 +206,37 @@ func (t *Trace) WriteMetricsJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(t.Metrics())
+}
+
+// WriteFiles writes the Chrome trace, the metrics document and the events
+// document to the given paths, skipping each empty path. It is the one
+// artefact writer behind every command's -trace, -metrics and -events
+// flags. A nil trace writes valid empty documents.
+func (t *Trace) WriteFiles(tracePath, metricsPath, eventsPath string) error {
+	for _, f := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{tracePath, t.WriteChromeTrace},
+		{metricsPath, t.WriteMetricsJSON},
+		{eventsPath, t.WriteEventsJSON},
+	} {
+		if f.path == "" {
+			continue
+		}
+		out, err := os.Create(f.path)
+		if err != nil {
+			return err
+		}
+		if err := f.write(out); err != nil {
+			_ = out.Close()
+			return err
+		}
+		if err := out.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteSummary renders a human-readable table of the span aggregates

@@ -146,3 +146,41 @@ func TestWriteSummary(t *testing.T) {
 		t.Errorf("summary not sorted by total time:\n%s", out)
 	}
 }
+
+// TestWriteFiles: each named artefact holds exactly what its writer
+// produces, and an empty path writes nothing.
+func TestWriteFiles(t *testing.T) {
+	tr := goldenTrace()
+	dir := t.TempDir()
+	tracePath, eventsPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "events.json")
+	if err := tr.WriteFiles(tracePath, "", eventsPath); err != nil {
+		t.Fatal(err)
+	}
+	for path, write := range map[string]func(*bytes.Buffer) error{
+		tracePath:  func(b *bytes.Buffer) error { return tr.WriteChromeTrace(b) },
+		eventsPath: func(b *bytes.Buffer) error { return tr.WriteEventsJSON(b) },
+	} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s differs from its writer's output", filepath.Base(path))
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("wrote %d files, want 2 (the metrics path was empty)", len(entries))
+	}
+	var nilTrace *Trace
+	if err := nilTrace.WriteFiles("", "", ""); err != nil {
+		t.Fatalf("nil trace with no paths: %v", err)
+	}
+}

@@ -9,38 +9,47 @@ import (
 	"resched/internal/schedule"
 )
 
-// TestArenaReuseIsTransparent proves the caller-owned arena is purely an
-// allocation concern: solving the same instance repeatedly on one Arena
-// yields schedules DeepEqual to fresh-arena runs, so a serving worker can
-// keep one arena for its whole lifetime without cross-request bleed.
+// TestArenaReuseIsTransparent proves the state pool is purely an
+// allocation concern: solving on a state that earlier runs left dirty —
+// drawn from the pool, or held across runs as a PA-R worker holds one —
+// yields schedules DeepEqual to runs on a fresh state, so every caller can
+// share the pool without cross-run bleed.
 func TestArenaReuseIsTransparent(t *testing.T) {
 	a := arch.ZedBoard()
-	arena := NewArena()
+	held := getState()
+	defer putState(held)
 	for _, seed := range []int64{11, 12, 13} {
 		g := genGraph(t, benchgen.Config{Tasks: 30, Seed: seed})
-		fresh, _, err := Schedule(g, a, Options{})
+		fresh, _, err := Schedule(g, a, Options{scratch: &state{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two back-to-back runs on the shared arena: the second sees the
-		// first's dirty buffers, which reset must fully neutralise.
+		// Two back-to-back runs each way: the second sees the first's
+		// dirty buffers, which reset must fully neutralise.
 		for i := 0; i < 2; i++ {
-			sch, _, err := Schedule(g, a, Options{Arena: arena})
+			pooled, _, err := Schedule(g, a, Options{})
 			if err != nil {
-				t.Fatalf("seed %d run %d on shared arena: %v", seed, i, err)
+				t.Fatalf("seed %d run %d on a pooled state: %v", seed, i, err)
 			}
-			if !reflect.DeepEqual(sch, fresh) {
-				t.Fatalf("seed %d run %d on shared arena diverged from fresh-arena run", seed, i)
+			if !reflect.DeepEqual(pooled, fresh) {
+				t.Fatalf("seed %d run %d on a pooled state diverged from a fresh-state run", seed, i)
+			}
+			reused, _, err := Schedule(g, a, Options{scratch: held})
+			if err != nil {
+				t.Fatalf("seed %d run %d on a held state: %v", seed, i, err)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("seed %d run %d on a held state diverged from a fresh-state run", seed, i)
 			}
 		}
 	}
 }
 
-// TestArenaReuseAcrossFabrics moves one Arena between device presets: a
-// solve on an arena that last served another fabric must equal a solve on
-// a fresh arena, so a serving worker never answers with the capacity
-// footprints of the previous request's fabric. Checked for every ordered
-// pair of presets over suite graphs of 10 to 100 tasks.
+// TestArenaReuseAcrossFabrics moves a state between device presets: a
+// solve on a state that last served another fabric must equal a solve on a
+// fresh state, so a pooled state never answers with the capacity footprints
+// of the previous run's fabric. Checked for every ordered pair of presets
+// over suite graphs of 10 to 100 tasks, on a held state and on the pool.
 func TestArenaReuseAcrossFabrics(t *testing.T) {
 	suite, err := benchgen.Suite(2016)
 	if err != nil {
@@ -57,7 +66,7 @@ func TestArenaReuseAcrossFabrics(t *testing.T) {
 			if e.Index != 0 {
 				continue
 			}
-			sch, _, err := Schedule(e.Graph, a, Options{})
+			sch, _, err := Schedule(e.Graph, a, Options{scratch: &state{}})
 			if err != nil {
 				t.Fatalf("%s group %d: %v", name, e.Group, err)
 			}
@@ -65,27 +74,36 @@ func TestArenaReuseAcrossFabrics(t *testing.T) {
 		}
 	}
 	for _, from := range names {
+		prev, err := arch.Preset(from)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, to := range names {
 			if from == to {
 				continue
+			}
+			a, err := arch.Preset(to)
+			if err != nil {
+				t.Fatal(err)
 			}
 			i := 0
 			for _, e := range suite {
 				if e.Index != 0 {
 					continue
 				}
-				arena := NewArena()
-				for _, name := range []string{from, to} {
-					a, err := arch.Preset(name)
-					if err != nil {
-						t.Fatal(err)
+				held := &state{}
+				for _, opts := range []Options{{scratch: held}, {}} {
+					// The first run leaves its state (held, or the one it
+					// returns to the pool) dirty with the other fabric.
+					if _, _, err := Schedule(e.Graph, prev, opts); err != nil {
+						t.Fatalf("%s→%s group %d on %s: %v", from, to, e.Group, from, err)
 					}
-					sch, _, err := Schedule(e.Graph, a, Options{Arena: arena})
+					sch, _, err := Schedule(e.Graph, a, opts)
 					if err != nil {
-						t.Fatalf("%s→%s group %d on %s: %v", from, to, e.Group, name, err)
+						t.Fatalf("%s→%s group %d on %s: %v", from, to, e.Group, to, err)
 					}
-					if name == to && !reflect.DeepEqual(sch, fresh[to][i]) {
-						t.Fatalf("%s→%s group %d: makespan %d on the reused arena, %d on a fresh one",
+					if !reflect.DeepEqual(sch, fresh[to][i]) {
+						t.Fatalf("%s→%s group %d: makespan %d on a reused state, %d on a fresh one",
 							from, to, e.Group, sch.Makespan, fresh[to][i].Makespan)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"resched/internal/benchgen"
+	"resched/internal/schedule"
 	"resched/internal/taskgraph"
 )
 
@@ -24,4 +25,12 @@ func genGraph(tb testing.TB, cfg benchgen.Config) *taskgraph.Graph {
 		tb.Fatal(err)
 	}
 	return g
+}
+
+// validOrFatal fails the test on the first checker violation.
+func validOrFatal(t *testing.T, s *schedule.Schedule) {
+	t.Helper()
+	if errs := schedule.Check(s); len(errs) > 0 {
+		t.Fatalf("invalid schedule: %v", errs[0])
+	}
 }

@@ -146,7 +146,7 @@ type RandomStats struct {
 // deterministic efficiency ordering (Rand == nil); every other iteration
 // draws from its owner's generator, seeded with Seed when W = 1 and with
 // mixSeed(Seed, w) otherwise. Everything that steers a worker — generator,
-// incumbent, capacity factor, scratch arena, floorplan planner — is its
+// incumbent, capacity factor, pipeline state, floorplan planner — is its
 // own, so each worker's result is a pure function of (Seed, Workers,
 // MaxIterations, InitialIncumbent). The reduction picks the final schedule
 // under the total order (makespan, worker, global iteration), so the
@@ -307,8 +307,9 @@ func (e *engine) runWorker(w int) workerResult {
 		Rand:          rand.New(rand.NewSource(seed)),
 		Budget:        e.bud,
 		Initial:       opts.Initial,
-		scratch:       &state{},
+		scratch:       getState(),
 	}
+	defer putState(inner.scratch)
 	// Each feasibility query has its own cap so a hard instance cannot eat
 	// the whole search budget; an unproven verdict just shrinks the
 	// virtual capacity and moves on.

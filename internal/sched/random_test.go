@@ -6,6 +6,7 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
+	"resched/internal/budget"
 	"resched/internal/schedule"
 )
 
@@ -128,5 +129,50 @@ func TestRScheduleModuleReuse(t *testing.T) {
 	}
 	if errs := schedule.Check(sch); len(errs) > 0 {
 		t.Fatalf("invalid module-reuse schedule: %v", errs)
+	}
+}
+
+// TestRScheduleBudgetReturnsIncumbent exhausts the shared node cap
+// mid-search, after an incumbent exists, and verifies PA-R returns that
+// incumbent rather than an error. The cap is calibrated from a reference
+// run with the same seed: PA-R's node consumption is deterministic, so a
+// cap one node above the reference consumption replays the reference
+// search exactly — incumbent included — and trips on the very next charge.
+// That consumption is deterministic only on the sequential path: parallel
+// workers charge the shared budget in scheduler order, so Workers is pinned
+// to 1 instead of the GOMAXPROCS default.
+func TestRScheduleBudgetReturnsIncumbent(t *testing.T) {
+	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 8})
+	a := arch.ZedBoard()
+	opts := RandomOptions{MaxIterations: 3, Seed: 4, ModuleReuse: true, Workers: 1}
+
+	ref := budget.New(budget.Options{})
+	refOpts := opts
+	refOpts.Budget = ref
+	refSch, refStats, err := RSchedule(g, a, refOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refStats.History) == 0 {
+		t.Fatal("reference run accepted no improvement; pick another seed")
+	}
+
+	bud := budget.New(budget.Options{MaxNodes: ref.Nodes() + 1})
+	capped := opts
+	capped.MaxIterations = 60 // backstop; the node cap is the intended stop
+	capped.Budget = bud
+	sch, stats, err := RSchedule(g, a, capped)
+	if err != nil {
+		t.Fatalf("node-cap expiry with an incumbent must not fail: %v", err)
+	}
+	validOrFatal(t, sch)
+	if sch.Algorithm != "PA-R" {
+		t.Errorf("algorithm = %q, want PA-R", sch.Algorithm)
+	}
+	if len(stats.History) == 0 {
+		t.Fatal("capped run accepted no improvement")
+	}
+	if sch.Makespan != refSch.Makespan {
+		t.Errorf("incumbent makespan %d, reference found %d", sch.Makespan, refSch.Makespan)
 	}
 }

@@ -1,16 +1,45 @@
-package sched
+// The robust degradation ladder is composed in package solve from this
+// package's rungs: PA, PA-R and SoftwareOnlyScheduleFrom. Its tests live
+// beside those rungs, in an external test package so they can reach the
+// ladder through the solve registry as every frontend does.
+package sched_test
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
 	"resched/internal/budget"
 	"resched/internal/faultinject"
+	"resched/internal/floorplan"
+	"resched/internal/sched"
 	"resched/internal/schedule"
+	"resched/internal/solve"
 	"resched/internal/taskgraph"
 )
+
+// robust runs the ladder on (g, a) through the solve registry.
+func robust(t *testing.T, g *taskgraph.Graph, a *arch.Architecture, opts solve.Options) (*solve.Result, error) {
+	t.Helper()
+	s, err := solve.Get("robust")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Solve(&solve.Request{Graph: g, Arch: a, Options: opts})
+}
+
+func genGraph(tb testing.TB, cfg benchgen.Config) *taskgraph.Graph {
+	tb.Helper()
+	g, err := benchgen.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
 
 // validOrFatal fails the test on the first checker violation.
 func validOrFatal(t *testing.T, s *schedule.Schedule) {
@@ -20,22 +49,29 @@ func validOrFatal(t *testing.T, s *schedule.Schedule) {
 	}
 }
 
+// reasons splits the ladder's failure chain into one entry per failed rung.
+func reasons(l *solve.LadderStats) []string {
+	if l.Reasons == "" {
+		return nil
+	}
+	return strings.Split(l.Reasons, "; ")
+}
+
 func TestRobustFullRung(t *testing.T) {
 	g := genGraph(t, benchgen.Config{Tasks: 30, Seed: 11})
-	a := arch.ZedBoard()
-	res, err := Robust(g, a, RobustOptions{ModuleReuse: true})
+	res, err := robust(t, g, arch.ZedBoard(), solve.Options{ModuleReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	validOrFatal(t, res.Schedule)
-	if res.Rung != Full && res.Rung != Retried {
-		t.Fatalf("clean run landed on rung %v, want full/retried", res.Rung)
+	if r := res.Ladder.Rung; r != solve.Full && r != solve.Retried {
+		t.Fatalf("clean run landed on rung %v, want full/retried", r)
 	}
-	if res.Rung == Full && len(res.Reasons) != 0 {
-		t.Errorf("full rung recorded failure reasons: %v", res.Reasons)
+	if res.Ladder.Rung == solve.Full && res.Ladder.Degraded {
+		t.Errorf("full rung recorded failure reasons: %q", res.Ladder.Reasons)
 	}
-	if res.Stats == nil {
-		t.Error("PA rung fired but Stats is nil")
+	if res.Iterations == 0 {
+		t.Error("PA rung fired but its attempts are missing")
 	}
 	if len(res.Schedule.Regions) > 0 && len(res.Placements) == 0 {
 		t.Error("schedule uses regions but no placements were returned")
@@ -44,24 +80,23 @@ func TestRobustFullRung(t *testing.T) {
 
 // TestRobustSoftwareOnlyUnderTotalFloorplanFailure is the ladder's core
 // guarantee: with every floorplan solve forced infeasible, the search rungs
-// all fail, yet Robust still returns a checker-valid schedule — the
+// all fail, yet the ladder still returns a checker-valid schedule — the
 // all-software rung — with a nil error and a reason chain explaining the
 // degradation.
 func TestRobustSoftwareOnlyUnderTotalFloorplanFailure(t *testing.T) {
 	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 5})
-	a := arch.ZedBoard()
 	faults := faultinject.New()
 	faults.ForceFloorplanInfeasible(-1)
 
-	res, err := Robust(g, a, RobustOptions{
-		ModuleReuse: true, RandomIterations: 8, Faults: faults,
+	res, err := robust(t, g, arch.ZedBoard(), solve.Options{
+		ModuleReuse: true, MaxIterations: 8, Faults: faults,
 	})
 	if err != nil {
 		t.Fatalf("ladder must not fail on a full-SW-coverage graph: %v", err)
 	}
 	validOrFatal(t, res.Schedule)
-	if res.Rung != SoftwareOnly {
-		t.Fatalf("rung = %v, want software-only", res.Rung)
+	if res.Ladder.Rung != solve.SoftwareOnly {
+		t.Fatalf("rung = %v, want software-only", res.Ladder.Rung)
 	}
 	if len(res.Schedule.Regions) != 0 || len(res.Schedule.Reconfs) != 0 {
 		t.Errorf("software-only schedule still uses %d regions / %d reconfigurations",
@@ -76,12 +111,13 @@ func TestRobustSoftwareOnlyUnderTotalFloorplanFailure(t *testing.T) {
 		t.Errorf("software-only rung returned %d placements", len(res.Placements))
 	}
 	// Both search rungs must have been tried and must blame the floorplan.
-	if len(res.Reasons) < 2 {
-		t.Fatalf("reason chain too short: %v", res.Reasons)
+	chain := reasons(res.Ladder)
+	if len(chain) < 2 {
+		t.Fatalf("reason chain too short: %q", res.Ladder.Reasons)
 	}
-	for _, reason := range res.Reasons {
-		if !errors.Is(reason, ErrFloorplanInfeasible) {
-			t.Errorf("reason %v does not match ErrFloorplanInfeasible", reason)
+	for _, reason := range chain {
+		if !strings.Contains(reason, floorplan.ErrInfeasible.Error()) {
+			t.Errorf("reason %q does not blame the floorplan", reason)
 		}
 	}
 	if faults.Fired(faultinject.FaultFloorplanInfeasible) == 0 {
@@ -99,17 +135,16 @@ func TestRobustNoSoftwareFallback(t *testing.T) {
 	g.AddTask("filter", taskgraph.Implementation{
 		Name: "filter_hw", Kind: taskgraph.HW, Time: 5,
 	})
-	mustEdge(t, g, 0, 1)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
 
-	res, err := Robust(g, arch.ZedBoard(), RobustOptions{})
-	if !errors.Is(err, ErrNoSoftwareFallback) {
+	res, err := robust(t, g, arch.ZedBoard(), solve.Options{})
+	if !errors.Is(err, sched.ErrNoSoftwareFallback) {
 		t.Fatalf("err = %v, want ErrNoSoftwareFallback", err)
 	}
-	if res.Schedule != nil {
-		t.Error("failed ladder still returned a schedule")
-	}
-	if len(res.Reasons) == 0 {
-		t.Error("failed ladder returned no reasons")
+	if res != nil {
+		t.Error("failed ladder still returned a result")
 	}
 }
 
@@ -118,73 +153,85 @@ func TestRobustNoSoftwareFallback(t *testing.T) {
 // software-only rung — which needs no search — still delivers.
 func TestRobustCancelledBudget(t *testing.T) {
 	g := genGraph(t, benchgen.Config{Tasks: 25, Seed: 3})
-	a := arch.ZedBoard()
 	bud := budget.New(budget.Options{})
 	bud.Cancel()
 
-	res, err := Robust(g, a, RobustOptions{ModuleReuse: true, Budget: bud})
+	res, err := robust(t, g, arch.ZedBoard(), solve.Options{ModuleReuse: true, Budget: bud})
 	if err != nil {
 		t.Fatalf("cancelled budget must degrade, not fail: %v", err)
 	}
 	validOrFatal(t, res.Schedule)
-	if res.Rung != SoftwareOnly {
-		t.Fatalf("rung = %v, want software-only", res.Rung)
+	if res.Ladder.Rung != solve.SoftwareOnly {
+		t.Fatalf("rung = %v, want software-only", res.Ladder.Rung)
 	}
-	foundBudget := false
-	for _, reason := range res.Reasons {
-		if errors.Is(reason, ErrBudgetExhausted) {
-			foundBudget = true
-			if !errors.Is(reason, budget.ErrCancelled) {
-				t.Errorf("budget reason %v does not carry the cancellation cause", reason)
-			}
+	chain := reasons(res.Ladder)
+	if len(chain) != 2 {
+		t.Fatalf("reason chain = %q, want one entry per search rung", res.Ladder.Reasons)
+	}
+	for _, reason := range chain {
+		if !strings.Contains(reason, budget.ErrCancelled.Error()) {
+			t.Errorf("reason %q does not carry the cancellation cause", reason)
 		}
-	}
-	if !foundBudget {
-		t.Errorf("no reason matches ErrBudgetExhausted: %v", res.Reasons)
 	}
 }
 
-// TestRScheduleBudgetReturnsIncumbent exhausts the shared node cap
-// mid-search, after an incumbent exists, and verifies PA-R returns that
-// incumbent rather than an error. The cap is calibrated from a reference
-// run with the same seed: PA-R's node consumption is deterministic, so a
-// cap one node above the reference consumption replays the reference
-// search exactly — incumbent included — and trips on the very next charge.
-// That consumption is deterministic only on the sequential path: parallel
-// workers charge the shared budget in scheduler order, so Workers is pinned
-// to 1 instead of the GOMAXPROCS default.
-func TestRScheduleBudgetReturnsIncumbent(t *testing.T) {
-	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 8})
+// TestRobustWarmState verifies the ladder threads the initial state down to
+// whichever rung fires.
+func TestRobustWarmState(t *testing.T) {
+	g := taskgraph.New("robustwarm")
+	g.AddTask("t0", taskgraph.Implementation{Name: "s0", Kind: taskgraph.SW, Time: 50})
 	a := arch.ZedBoard()
-	opts := RandomOptions{MaxIterations: 3, Seed: 4, ModuleReuse: true, Workers: 1}
-
-	ref := budget.New(budget.Options{})
-	refOpts := opts
-	refOpts.Budget = ref
-	refSch, refStats, err := RSchedule(g, a, refOpts)
+	floors := make([]int64, a.Processors)
+	for p := range floors {
+		floors[p] = 90
+	}
+	ps := &schedule.PlatformState{ProcAvail: floors}
+	res, err := robust(t, g, a, solve.Options{Initial: ps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refStats.History) == 0 {
-		t.Fatal("reference run accepted no improvement; pick another seed")
+	if res.Schedule.Tasks[0].Start < 90 {
+		t.Errorf("robust result starts at %d, processor floor is 90", res.Schedule.Tasks[0].Start)
 	}
+	if errs := schedule.CheckAgainst(ps, res.Schedule); len(errs) > 0 {
+		t.Fatalf("robust warm schedule invalid: %v", errs)
+	}
+}
 
-	bud := budget.New(budget.Options{MaxNodes: ref.Nodes() + 1})
-	capped := opts
-	capped.MaxIterations = 60 // backstop; the node cap is the intended stop
-	capped.Budget = bud
-	sch, stats, err := RSchedule(g, a, capped)
-	if err != nil {
-		t.Fatalf("node-cap expiry with an incumbent must not fail: %v", err)
+// TestRobustRandomizedRungIgnoresHost pins that the ladder's PA-R rung runs
+// at the request's Workers, not at the host's GOMAXPROCS: with PA forced to
+// fail and Workers 1, the randomized rung returns the same schedule at
+// GOMAXPROCS 1 and 4.
+func TestRobustRandomizedRungIgnoresHost(t *testing.T) {
+	g := genGraph(t, benchgen.Config{Tasks: 30, Seed: 7})
+	a := arch.ZedBoard()
+	// Count the floorplan queries PA makes before it gives up, so exactly
+	// those fail and the PA-R rung's queries get real answers.
+	probe := faultinject.New()
+	probe.ForceFloorplanInfeasible(-1)
+	if _, _, err := sched.Schedule(g, a, sched.Options{Faults: probe}); err == nil {
+		t.Fatal("PA succeeded with every floorplan query failing")
 	}
-	validOrFatal(t, sch)
-	if sch.Algorithm != "PA-R" {
-		t.Errorf("algorithm = %q, want PA-R", sch.Algorithm)
-	}
-	if len(stats.History) == 0 {
-		t.Fatal("capped run accepted no improvement")
-	}
-	if sch.Makespan != refSch.Makespan {
-		t.Errorf("incumbent makespan %d, reference found %d", sch.Makespan, refSch.Makespan)
+	paQueries := probe.Fired(faultinject.FaultFloorplanInfeasible)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first *schedule.Schedule
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		faults := faultinject.New()
+		faults.ForceFloorplanInfeasible(paQueries)
+		res, err := robust(t, g, a, solve.Options{Workers: 1, MaxIterations: 16, Faults: faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ladder.Rung != solve.Randomized {
+			t.Fatalf("GOMAXPROCS %d: rung = %v, want randomized", procs, res.Ladder.Rung)
+		}
+		validOrFatal(t, res.Schedule)
+		if first == nil {
+			first = res.Schedule
+		} else if !reflect.DeepEqual(res.Schedule, first) {
+			t.Errorf("GOMAXPROCS %d: makespan %d, GOMAXPROCS 1 gave %d", procs, res.Schedule.Makespan, first.Makespan)
+		}
 	}
 }

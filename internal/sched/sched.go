@@ -6,6 +6,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -17,6 +18,24 @@ import (
 	"resched/internal/resources"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
+)
+
+// Typed failure classes of the schedulers. All are errors.Is-able through
+// any wrapping the schedulers (and the robust ladder above them) apply.
+var (
+	// ErrFloorplanInfeasible marks a scheduler giving up because no
+	// floorplan-feasible schedule was found within its retry policy. It is
+	// floorplan.ErrInfeasible re-exported at the scheduler API; isk wraps
+	// the same sentinel, so one errors.Is target covers every scheduler.
+	ErrFloorplanInfeasible = floorplan.ErrInfeasible
+	// ErrBudgetExhausted is budget.ErrExhausted re-exported at the
+	// scheduler API: it matches any budget failure (cancellation, deadline
+	// or node cap) wrapped by PA, PA-R or IS-k.
+	ErrBudgetExhausted = budget.ErrExhausted
+	// ErrNoSoftwareFallback marks the all-software schedule as unavailable:
+	// some task has no software implementation (violating §III's
+	// assumption), or the architecture has no processors to run one on.
+	ErrNoSoftwareFallback = errors.New("no all-software fallback")
 )
 
 // Options tune a single deterministic scheduling run.
@@ -77,17 +96,10 @@ type Options struct {
 	// The hint slice is only read, never retained or mutated.
 	FloorplanHint []floorplan.Placement
 
-	// Arena, when non-nil, is the caller-owned reusable scratch space the
-	// run executes in, so long-lived callers (a serving worker solving a
-	// stream of requests) amortise the working buffers across runs. The
-	// arena must not be shared between goroutines or concurrent runs.
-	Arena *Arena
-
-	// scratch, when non-nil, is the reusable working arena the pipeline
-	// runs in. Repeat callers (shrink retries inside Schedule, PA-R
-	// iterations) set it once so buffers survive across runs; a nil scratch
-	// makes runPipeline allocate a fresh one. A scratch must never be
-	// shared between goroutines.
+	// scratch is the working state the pipeline runs in. Schedule draws
+	// one from the state pool when it is nil and keeps it across its
+	// shrink retries; PA-R workers set their own so buffers survive across
+	// iterations. A scratch must never be shared between goroutines.
 	scratch *state
 }
 
@@ -107,11 +119,8 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	run := opts.Trace.Start("pa.run")
 	defer run.End()
 	if opts.scratch == nil {
-		if opts.Arena != nil {
-			opts.scratch = &opts.Arena.s
-		} else {
-			opts.scratch = &state{}
-		}
+		opts.scratch = getState()
+		defer putState(opts.scratch)
 	}
 	var sch *schedule.Schedule
 	stats, err := floorplan.Restart{
@@ -138,15 +147,12 @@ func Schedule(g *taskgraph.Graph, a *arch.Architecture, opts Options) (*schedule
 	return sch, &stats, nil
 }
 
-// runPipeline executes phases 1–7 and assembles the schedule. The returned
-// regionRes slice aliases the scratch arena and is only valid until the next
-// pipeline run on the same scratch (the caller hands it to the floorplanner
-// before retrying).
+// runPipeline executes phases 1–7 on opts.scratch and assembles the
+// schedule. The returned regionRes slice aliases the scratch and is only
+// valid until the next pipeline run on it (the caller hands it to the
+// floorplanner before retrying).
 func runPipeline(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vector, opts Options) (*schedule.Schedule, []resources.Vector, error) {
 	s := opts.scratch
-	if s == nil {
-		s = &state{}
-	}
 	s.reset(g, a, maxRes)
 	s.strict = opts.StrictWindows
 	full0, incremental0 := s.cpmWS.Passes()

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"resched/internal/arch"
 	"resched/internal/cpm"
@@ -17,11 +18,11 @@ import (
 // grows sequencing edges as tasks are ordered inside reconfigurable regions
 // and on processors.
 //
-// A state is embedded in a scratch arena and reused across shrink-retry
-// attempts and PA-R iterations: reset re-slices the preallocated buffers
-// instead of reallocating them, which is what keeps the per-iteration
-// allocation count flat. A state must only ever be used by one goroutine —
-// parallel searches give every worker its own scratch.
+// A state is reused across shrink-retry attempts, PA-R iterations and —
+// through statePool — across runs: reset re-slices the preallocated
+// buffers instead of reallocating them, which is what keeps the
+// per-iteration allocation count flat. A state must only ever be used by
+// one goroutine — parallel searches give every worker its own.
 //
 // The arena marker below enrolls the type with the arenaescape analyzer:
 // slices and maps read out of a state must be copied before they reach a
@@ -139,6 +140,24 @@ func newState(g *taskgraph.Graph, a *arch.Architecture, maxRes resources.Vector)
 	s := &state{}
 	s.reset(g, a, maxRes)
 	return s
+}
+
+// statePool recycles pipeline states across runs: every Schedule call and
+// every PA-R worker draws its state here and returns it when done, so any
+// repeat caller — a serving worker, a batch sweep, an online session —
+// reuses the buffers a previous run grew. Reuse is transparent because
+// reset clears every derived field (TestArenaReuseIsTransparent).
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// getState takes a state from the pool.
+func getState() *state { return statePool.Get().(*state) }
+
+// putState returns s to the pool. It first drops the pointers s holds into
+// the caller's instance (graph, architecture, warm state, catalog), so a
+// pooled state keeps only its own buffers alive.
+func putState(s *state) {
+	s.g, s.a, s.warm, s.catalog = nil, nil, nil, nil
+	statePool.Put(s)
 }
 
 // reset (re)initialises the state for a run on the given instance, reusing

@@ -123,11 +123,20 @@ func (s *state) rtMin(rt *reconfTask) int64 {
 	return rt.region.availFrom
 }
 
-// SoftwareOnlyScheduleFrom is SoftwareOnlySchedule generalised to a warm
-// platform: release and processor floors are honoured, and pinned tasks —
-// whose committed reconfigurations force them into their regions — execute
-// there while everything else runs in software. It retains the bottom
-// rung's guarantee: no search, no floorplan, no new reconfigurations.
+// SoftwareOnlyScheduleFrom builds the robust ladder's bottom rung: every
+// task on its fastest software implementation, list-scheduled over the
+// processors in topological order with earliest-finish processor selection.
+// Under §III's assumptions (every task has a software implementation, at
+// least one processor) it always succeeds — no fabric, regions or
+// reconfigurations are involved, so there is nothing to floorplan and
+// nothing to search. The result is deliberately conservative: a feasible
+// anchor, not a competitive makespan.
+//
+// From a warm platform state ps (nil or empty for a cold start), release
+// and processor floors are honoured, and pinned tasks — whose committed
+// reconfigurations force them into their regions — execute there while
+// everything else runs in software. The guarantee holds: no search, no
+// floorplan, no new reconfigurations.
 func SoftwareOnlyScheduleFrom(g *taskgraph.Graph, a *arch.Architecture, ps *schedule.PlatformState) (*schedule.Schedule, error) {
 	order, err := g.TopoOrder()
 	if err != nil {

@@ -242,8 +242,8 @@ func TestSoftwareOnlyFromWarm(t *testing.T) {
 		t.Errorf("t1: %+v, want processor start ≥ 130 (after pinned end)", sch.Tasks[1])
 	}
 
-	// Identity: the nil-state wrapper matches the historical behaviour.
-	cold1, err := SoftwareOnlySchedule(g, a)
+	// Identity: an empty state schedules exactly as no state does.
+	cold1, err := SoftwareOnlyScheduleFrom(g, a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,28 +253,5 @@ func TestSoftwareOnlyFromWarm(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold1, cold2) {
 		t.Error("empty state changed the SW-only schedule")
-	}
-}
-
-// TestRobustWarmState verifies the ladder threads the initial state down to
-// whichever rung fires.
-func TestRobustWarmState(t *testing.T) {
-	g := taskgraph.New("robustwarm")
-	g.AddTask("t0", sw("s0", 50))
-	a := arch.ZedBoard()
-	floors := make([]int64, a.Processors)
-	for p := range floors {
-		floors[p] = 90
-	}
-	ps := &schedule.PlatformState{ProcAvail: floors}
-	res, err := Robust(g, a, RobustOptions{Initial: ps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule.Tasks[0].Start < 90 {
-		t.Errorf("robust result starts at %d, processor floor is 90", res.Schedule.Tasks[0].Start)
-	}
-	if errs := schedule.CheckAgainst(ps, res.Schedule); len(errs) > 0 {
-		t.Fatalf("robust warm schedule invalid: %v", errs)
 	}
 }

@@ -125,21 +125,16 @@ func computeKeys(req *solve.Request, solver string) cacheKeys {
 	switch solver {
 	case "pa", "is1", "is5":
 		c.int(b2i(o.SkipFloorplan))
-	case "par":
-		// Workers shapes the per-worker RNG streams, so the resolved value
-		// (0 = GOMAXPROCS) is part of the identity; the golden vectors only
-		// pin explicit-Workers keys for that reason.
+	case "par", "robust":
+		// Workers shapes the per-worker RNG streams of PA-R (and of the
+		// ladder's PA-R rung), so the resolved value (0 = GOMAXPROCS) is
+		// part of the identity; the golden vectors only pin explicit-Workers
+		// keys for that reason.
 		c.int(o.Seed)
 		c.int(int64(resolvedWorkers(o.Workers)))
 		c.int(int64(o.MaxIterations))
 	case "exact":
 		// The exact reference reads nothing beyond ModuleReuse.
-	case "robust":
-		// The ladder's PA-R rung never forwards Workers, so it always runs
-		// at GOMAXPROCS — encode that, not the unread Workers field.
-		c.int(o.Seed)
-		c.int(int64(runtime.GOMAXPROCS(0)))
-		c.int(int64(o.MaxIterations))
 	default:
 		// Unknown solver: assume it reads everything. Cacheable rejects
 		// unknown names, so this arm only matters if the roster grows

@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,8 +24,8 @@ func goldenRequest(tb testing.TB) *solve.Request {
 // TestKeyGoldenVectors pins the canonical key format: if any of these hex
 // digests change, the canonical encoding changed and keyVersion must be
 // bumped (and these vectors re-pinned) in the same commit. Only solvers
-// whose key is machine-independent are pinned; par with Workers=0 and
-// robust fold in GOMAXPROCS and are covered by the stability test below.
+// whose key is machine-independent are pinned; par and robust with
+// Workers=0 fold in GOMAXPROCS and are covered by the stability test below.
 func TestKeyGoldenVectors(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -117,14 +118,24 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestKeyStableWithinProcess: machine-dependent keys (robust folds in
-// GOMAXPROCS) must still be deterministic within one process.
+// TestKeyStableWithinProcess: machine-dependent keys (robust with Workers=0
+// folds in GOMAXPROCS) must still be deterministic within one process.
 func TestKeyStableWithinProcess(t *testing.T) {
 	req := goldenRequest(t)
 	a := Key(req, "robust")
 	b := Key(goldenRequest(t), "robust")
 	if a != b {
 		t.Fatalf("robust key unstable: %s vs %s", a, b)
+	}
+	// The ladder's PA-R rung runs at the request's Workers, so Workers=0
+	// keys as its resolved value and an explicit value moves the key.
+	req.Workers = runtime.GOMAXPROCS(0)
+	if got := Key(req, "robust"); got != a {
+		t.Errorf("robust key with Workers=GOMAXPROCS %s, with Workers=0 %s", got, a)
+	}
+	req.Workers++
+	if got := Key(req, "robust"); got == a {
+		t.Error("robust key ignores Workers")
 	}
 }
 

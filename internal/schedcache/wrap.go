@@ -35,7 +35,7 @@ func (cs cachingSolver) Name() string { return cs.inner.Name() }
 //     with no wall-clock budget — RSchedule is then a pure function of
 //     (Seed, Workers, MaxIterations).
 //   - robust: deterministic with no wall-clock budget (a zero
-//     RandomIterations defaults to 32, keeping the PA-R rung bounded).
+//     MaxIterations defaults to 32, keeping the PA-R rung bounded).
 //   - anything else: unknown semantics, never cached.
 //
 // Requests with armed faults or caller-provided warm-start inputs are

@@ -18,9 +18,9 @@
 //     response says so; at RejectAt — or when the queue is hard-full, or
 //     when a forced queue-full fault is armed — the request is refused with
 //     429 and a Retry-After, never silently dropped. Degrading before
-//     rejecting is the same philosophy as sched.Robust, applied at the
-//     front door: under pressure every client still gets a schedule,
-//     just a cheaper one.
+//     rejecting is the same philosophy as the robust solver's ladder,
+//     applied at the front door: under pressure every client still gets a
+//     schedule, just a cheaper one.
 //
 //   - Budget ownership. Every dispatched request gets its own
 //     *budget.Budget, derived from the server's root budget with
@@ -34,21 +34,21 @@
 //     bottom rung the robust ladder lands on.
 //
 //   - Panic isolation. A panicking solver converts to a 500 plus a
-//     "serve.panic" flight-recorder event; the worker, its arena and the
-//     daemon survive.
+//     "serve.panic" flight-recorder event; the worker and the daemon
+//     survive.
 //
 //   - Graceful drain. Drain stops admission (late requests get 503),
 //     lets queued and in-flight work finish under a drain budget, and
 //     cancels whatever outlives it through the root budget — every
 //     admitted request gets a response, every worker goroutine is joined.
 //
-// Workers reuse one sched.Arena each (the PR-4 scratch arenas), so a
+// Solves draw their scratch from package sched's state pool, so a
 // long-lived daemon keeps the allocation diet of the batch pipeline across
 // millions of requests. Deterministic fault injection reaches the serving
-// path through faultinject.ServeDispatch (ingress latency, forced
-// queue-full) without touching solver options, and the whole admission
-// machine runs on an injectable clock, so every behaviour above has a
-// hand-advanced, repeatable test.
+// path through faultinject.ServeDispatch (forced queue-full) without
+// touching solver options, and the whole admission machine runs on an
+// injectable clock, so every behaviour above has a hand-advanced,
+// repeatable test.
 package serve
 
 import (
@@ -75,8 +75,7 @@ import (
 // Config tunes the serving tier. The zero value of every field has a
 // production-shaped default.
 type Config struct {
-	// Workers is the solver pool size (default 2). Each worker owns one
-	// reusable sched.Arena.
+	// Workers is the solver pool size (default 2).
 	Workers int
 	// QueueDepth bounds the admission queue (default 16).
 	QueueDepth int
@@ -301,7 +300,7 @@ func New(cfg Config) *Server {
 		// Workers live for the server's lifetime and are joined by Drain,
 		// which closes the queue and waits for every loop to exit.
 		//reschedvet:ignore goleak joined by (*Server).Drain, not by New's return
-		go s.worker(sched.NewArena())
+		go s.worker()
 	}
 	return s
 }
@@ -423,8 +422,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The serving-path fault hook runs before admission so chaos tests
-	// exercise ingress latency and forced queue-full without touching
-	// solver options.
+	// exercise forced queue-full without touching solver options.
 	forceFull := s.cfg.Faults.ServeDispatch()
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -541,14 +539,13 @@ func (s *Server) reject(w http.ResponseWriter, status int, reason, msg, solver s
 	s.cfg.Trace.Count("serve.status."+strconv.Itoa(status), 1)
 }
 
-// worker is one pool goroutine: it owns a reusable scheduling arena and
-// drains the queue until Drain closes it.
-func (s *Server) worker(arena *sched.Arena) {
+// worker is one pool goroutine: it drains the queue until Drain closes it.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	defer s.exited.Add(1)
 	for j := range s.queue {
 		s.inflight.Add(1)
-		s.dispatch(j, arena)
+		s.dispatch(j)
 		s.inflight.Add(-1)
 		s.completed.Add(1)
 		close(j.done)
@@ -557,7 +554,7 @@ func (s *Server) worker(arena *sched.Arena) {
 
 // dispatch solves one admitted job. It never panics (solver panics are
 // contained) and always leaves a response on the job.
-func (s *Server) dispatch(j *job, arena *sched.Arena) {
+func (s *Server) dispatch(j *job) {
 	// The request owns a lane, so the solve's spans nest under its
 	// serve.request span however many requests run at once.
 	tr := s.cfg.Trace.Root()
@@ -578,7 +575,6 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 	defer stop()
 
 	opts := j.req.options()
-	opts.Arena = arena
 	opts.Budget = bud.WithNodes(int64(j.req.MaxNodes))
 	opts.Faults = s.cfg.Faults
 	opts.Trace = tr
@@ -604,13 +600,15 @@ func (s *Server) dispatch(j *job, arena *sched.Arena) {
 
 // requestBudget derives the per-request budget: min(request timeout,
 // MaxBudget) on the server clock, as a child of the root so cancellation
-// composes. The caller owns the child and must Cancel it.
+// composes, with its own exhaustion note so every request that runs dry
+// records its own budget.exhausted event. The caller owns the child and
+// must Cancel it.
 func (s *Server) requestBudget(timeoutMS int64) *budget.Budget {
 	d := s.cfg.MaxBudget
 	if t := time.Duration(timeoutMS) * time.Millisecond; t > 0 && t < d {
 		d = t
 	}
-	return s.root.WithTimeout(d)
+	return s.root.WithOwnNote().WithTimeout(d)
 }
 
 // errPanicked marks a contained solver panic.
@@ -688,7 +686,7 @@ func budgetReason(err error) string {
 // budget — the serving tier's own bottom rung. Nil when even that is
 // impossible (a graph violating §III's software-implementation assumption).
 func (s *Server) partialResult(j *job) *SolveResponse {
-	sch, err := sched.SoftwareOnlySchedule(j.req.graph, j.req.arch)
+	sch, err := sched.SoftwareOnlyScheduleFrom(j.req.graph, j.req.arch, nil)
 	if err != nil {
 		return nil
 	}
@@ -696,7 +694,7 @@ func (s *Server) partialResult(j *job) *SolveResponse {
 		Solver:   j.solver,
 		Degraded: true,
 		ShedFrom: firstNonEmpty(j.shedFrom, j.solver),
-		Rung:     sched.SoftwareOnly.String(),
+		Rung:     solve.SoftwareOnly.String(),
 		Makespan: sch.Makespan,
 	}
 }

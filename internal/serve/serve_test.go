@@ -69,7 +69,7 @@ func registerTestSolvers() {
 			for {
 				select {
 				case <-ctl.release:
-					sch, err := sched.SoftwareOnlySchedule(r.Graph, r.Arch)
+					sch, err := sched.SoftwareOnlyScheduleFrom(r.Graph, r.Arch, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -156,14 +156,14 @@ func TestSolveHappyPath(t *testing.T) {
 	if len(resp.Schedule) == 0 {
 		t.Fatal("include_schedule did not return the schedule")
 	}
-	// The same request is bit-deterministic across dispatches (arena reuse
-	// on the worker must not bleed state between requests).
+	// The same request is bit-deterministic across dispatches (pooled
+	// scratch must not bleed state between requests).
 	var again SolveResponse
 	if code := postRec(t, h, payload, &again); code != http.StatusOK {
 		t.Fatalf("second status %d", code)
 	}
 	if again.Makespan != resp.Makespan || !bytes.Equal(again.Schedule, resp.Schedule) {
-		t.Fatal("repeated request diverged: arena state leaked between requests")
+		t.Fatal("repeated request diverged: scratch state leaked between requests")
 	}
 
 	var health Health
@@ -230,7 +230,7 @@ func TestDeadlineBudget504(t *testing.T) {
 	if er.Reason != "deadline passed" {
 		t.Fatalf("reason %q, want \"deadline passed\"", er.Reason)
 	}
-	if er.Partial == nil || er.Partial.Makespan <= 0 || er.Partial.Rung != sched.SoftwareOnly.String() {
+	if er.Partial == nil || er.Partial.Makespan <= 0 || er.Partial.Rung != solve.SoftwareOnly.String() {
 		t.Fatalf("504 must carry the all-software partial result, got %+v", er.Partial)
 	}
 }
@@ -260,10 +260,35 @@ func TestExactHonoursRequestBudget(t *testing.T) {
 			if er.Reason != tc.reason {
 				t.Fatalf("reason %q, want %q", er.Reason, tc.reason)
 			}
-			if er.Partial == nil || er.Partial.Makespan <= 0 || er.Partial.Rung != sched.SoftwareOnly.String() {
+			if er.Partial == nil || er.Partial.Makespan <= 0 || er.Partial.Rung != solve.SoftwareOnly.String() {
 				t.Fatalf("504 must carry the all-software partial result, got %+v", er.Partial)
 			}
 		})
+	}
+}
+
+// TestBudgetExhaustedPerRequest: every request budget notes its own
+// exhaustion. Three exact requests that each run out of time leave three
+// budget.exhausted events, not one per daemon lifetime.
+func TestBudgetExhaustedPerRequest(t *testing.T) {
+	tr := obs.New()
+	s := newServer(t, Config{Trace: tr})
+	payload := body(t, map[string]any{
+		"solver": "exact", "graph": graphJSON(t, 11, 2024), "timeout_ms": 10,
+	})
+	for i := 0; i < 3; i++ {
+		if code := postRec(t, s.Handler(), payload, nil); code != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status %d, want 504", i, code)
+		}
+	}
+	n := 0
+	for _, e := range tr.Snapshot().Events {
+		if e.Name == "budget.exhausted" {
+			n++
+		}
+	}
+	if n != 3 {
+		t.Fatalf("budget.exhausted events = %d, want one per request (3)", n)
 	}
 }
 
@@ -680,10 +705,10 @@ func waitState(t *testing.T, s *Server, want int) {
 	}
 }
 
-// TestWorkerArenaAcrossPresets: a worker's arena outlives requests and
-// moves between fabrics. On a one-worker pool without a cache, the same
-// /solve must return the same schedule whatever presets that worker served
-// before, equal to what a fresh server returns.
+// TestWorkerArenaAcrossPresets: the pooled scratch a worker solves on
+// outlives requests and moves between fabrics. On a one-worker pool without
+// a cache, the same /solve must return the same schedule whatever presets
+// that worker served before, equal to what a fresh server returns.
 func TestWorkerArenaAcrossPresets(t *testing.T) {
 	suite, err := benchgen.Suite(2016)
 	if err != nil {

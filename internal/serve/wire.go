@@ -241,8 +241,8 @@ func readCanonicalRequest(body []byte) (req *SolveRequest, g *taskgraph.Graph, e
 }
 
 // options assembles the solver options for a request. Budget (with the
-// request's MaxNodes), Faults, Trace and Arena are owned by the dispatch
-// layer and wired there.
+// request's MaxNodes), Faults and Trace are owned by the dispatch layer and
+// wired there.
 func (r *SolveRequest) options() solve.Options {
 	workers := r.SearchWorkers
 	if workers == 0 {

@@ -11,9 +11,9 @@ import (
 )
 
 // Result normalizes the heterogeneous per-algorithm statistics
-// (sched.Stats, sched.RandomStats, isk.Stats, exact.Stats, sched.Result)
-// into one shape: the schedule itself, the uniform Table-I report fields
-// every solver shares, and one optional detail block per solver family.
+// (sched.Stats, sched.RandomStats, isk.Stats) into one shape: the schedule
+// itself, the uniform Table-I report fields every solver shares, and one
+// optional detail block per solver family.
 type Result struct {
 	// Schedule is the solver's output; non-nil whenever the error is nil.
 	Schedule *schedule.Schedule
@@ -39,7 +39,8 @@ type Result struct {
 	Window *WindowStats
 	// Exact is the exhaustive-reference detail; nil otherwise.
 	Exact *ExactStats
-	// Ladder is the degradation-ladder detail (robust); nil otherwise.
+	// Ladder is the degradation-ladder detail (robust); nil otherwise. The
+	// ladder's other fields are those of the rung that fired.
 	Ladder *LadderStats
 
 	// Cache reports how the schedule cache participated when a caching
@@ -90,11 +91,44 @@ type ExactStats struct {
 // LadderStats describes a robust degradation-ladder run.
 type LadderStats struct {
 	// Rung tells which ladder level produced the schedule.
-	Rung sched.Rung
+	Rung Rung
 	// Degraded reports that at least one rung above the final one failed;
 	// Reasons is the compact failure-chain summary.
 	Degraded bool
 	Reasons  string
+}
+
+// Rung identifies which level of the degradation ladder produced a schedule.
+type Rung int
+
+const (
+	// Full: the deterministic PA heuristic succeeded on the first attempt.
+	Full Rung = iota
+	// Retried: PA succeeded after §V-H shrink-and-restart retries.
+	Retried
+	// Randomized: PA failed, but the budgeted PA-R search found a
+	// floorplan-feasible schedule.
+	Randomized
+	// SoftwareOnly: every search rung failed (or the budget ran dry); the
+	// guaranteed all-software list schedule was emitted — processors only,
+	// no regions, no reconfigurations.
+	SoftwareOnly
+)
+
+// String names the rung.
+func (r Rung) String() string {
+	switch r {
+	case Full:
+		return "full"
+	case Retried:
+		return "retried"
+	case Randomized:
+		return "randomized"
+	case SoftwareOnly:
+		return "software-only"
+	default:
+		return fmt.Sprintf("Rung(%d)", int(r))
+	}
 }
 
 // WriteReport renders the user-facing run report: the solver-specific

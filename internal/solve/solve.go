@@ -14,14 +14,17 @@
 // stable names ("pa", "par", "is1", "is5", "exact", "robust") to solvers so
 // frontends — the pasched CLI, the experiments harness, batch servers,
 // sharded sweeps — dispatch by name instead of re-implementing a switch
-// over five package APIs.
+// over the algorithm packages.
 //
-// The algorithm packages (internal/sched, internal/isk, internal/exact)
-// keep their native APIs; the solvers here are thin adapters that translate
-// Options into each package's option struct and normalize the heterogeneous
-// stats into one Result. Constructing more than one algorithm's raw option
-// struct outside this package is a solvecheck violation (internal/analyze):
-// dispatch lives here, once.
+// The algorithm packages (internal/sched, internal/isk) keep their native
+// APIs; the pa, par, is1 and is5 solvers here are thin adapters that
+// translate Options into each package's option struct and normalize the
+// heterogeneous stats into one Result. The two composite solvers are built
+// here too, from the same request: exact is IS-k with one exhaustive window
+// over the whole graph, and robust runs the pa and par adapters in turn
+// before the all-software fallback. Constructing more than one algorithm's
+// raw option struct outside this package is a solvecheck violation
+// (internal/analyze): dispatch lives here, once.
 package solve
 
 import (
@@ -32,7 +35,6 @@ import (
 	"resched/internal/faultinject"
 	"resched/internal/floorplan"
 	"resched/internal/obs"
-	"resched/internal/sched"
 	"resched/internal/schedule"
 	"resched/internal/taskgraph"
 )
@@ -53,15 +55,17 @@ type Options struct {
 	// ModuleReuse enables module reuse in every solver that supports it.
 	ModuleReuse bool
 	// SkipFloorplan omits the floorplan feasibility loop in the solvers
-	// that run one (PA, IS-k). PA-R always floorplans improving solutions
-	// and the exact reference never floorplans; both ignore it.
+	// that run one (PA, IS-k). PA-R always floorplans improving solutions,
+	// the robust ladder always floorplans its search rungs and the exact
+	// reference never floorplans; all three ignore it.
 	SkipFloorplan bool
 
 	// Seed drives the seeded randomization of PA-R (and the robust
 	// ladder's PA-R rung). Deterministic solvers ignore it.
 	Seed int64
-	// Workers sets PA-R's search parallelism (0 = GOMAXPROCS, 1 = one
-	// worker on the calling goroutine). Other solvers ignore it.
+	// Workers sets PA-R's search parallelism, also in the robust ladder's
+	// PA-R rung (0 = GOMAXPROCS, 1 = one worker on the calling goroutine).
+	// Other solvers ignore it.
 	Workers int
 	// TimeBudget is PA-R's wall-clock search budget (timeToRun of
 	// Algorithm 1) and the robust ladder's PA-R rung budget.
@@ -70,13 +74,6 @@ type Options struct {
 	// 0 means unlimited (TimeBudget or Budget must then bound the search).
 	MaxIterations int
 
-	// Arena, when non-nil, is a caller-owned reusable scratch space for
-	// the deterministic PA pipeline (PA itself and the robust ladder's PA
-	// rung). Long-lived dispatchers — the serving tier's worker pool —
-	// keep one arena per worker so buffer reuse spans requests. It must
-	// never be shared between concurrent Solve calls; solvers that do not
-	// run the PA pipeline ignore it.
-	Arena *sched.Arena
 	// Budget, when non-nil, bounds the whole solve: deadline, cumulative
 	// node cap and cooperative cancellation thread through every layer of
 	// every registered solver.

@@ -8,7 +8,6 @@ import (
 
 	"resched/internal/arch"
 	"resched/internal/benchgen"
-	"resched/internal/exact"
 	"resched/internal/isk"
 	"resched/internal/sched"
 	"resched/internal/schedule"
@@ -88,6 +87,9 @@ func (n nameOnly) Solve(*Request) (*Result, error) { return nil, nil }
 // for fixed seeds, solving through the registry must return exactly the
 // schedule the underlying package API returns when called directly — the
 // adapters translate options and stats but never perturb the computation.
+// The composite solvers are checked against what they compose: robust
+// equals PA when PA succeeds, and exact equals exhaustive IS-k with one
+// window over the whole graph.
 func TestAdaptersMatchDirectCalls(t *testing.T) {
 	a := arch.ZedBoard()
 	g := genGraph(t, benchgen.Config{Tasks: 40, Seed: 2016})
@@ -116,12 +118,13 @@ func TestAdaptersMatchDirectCalls(t *testing.T) {
 			t.Fatalf("%s direct: %v", name, err)
 		}
 		if got := via(name, g); !reflect.DeepEqual(got, direct) {
-			t.Errorf("%s: registry schedule differs from direct %s call", name, name)
+			t.Errorf("%s: registry schedule differs from the direct call", name)
 		}
 	}
 
 	pa, _, err := sched.Schedule(g, a, sched.Options{ModuleReuse: true})
 	check("pa", pa, err, g)
+	check("robust", pa, err, g)
 
 	par, _, err := sched.RSchedule(g, a, sched.RandomOptions{
 		Seed: 7, MaxIterations: 30, Workers: 1, ModuleReuse: true,
@@ -134,11 +137,11 @@ func TestAdaptersMatchDirectCalls(t *testing.T) {
 	is5, _, err := isk.Schedule(g, a, isk.Options{K: 5, ModuleReuse: true})
 	check("is5", is5, err, g)
 
-	ex, _, err := exact.Schedule(small, a, exact.Options{ModuleReuse: true})
-	check("exact", ex, err, small)
-
-	rob, err := sched.Robust(g, a, sched.RobustOptions{
-		ModuleReuse: true, RandomIterations: 30, RandomSeed: 7,
+	ex, _, err := isk.Schedule(small, a, isk.Options{
+		K: small.N(), Exhaustive: true, SkipFloorplan: true, ModuleReuse: true,
 	})
-	check("robust", rob.Schedule, err, g)
+	if err == nil {
+		ex.Algorithm = "EXACT"
+	}
+	check("exact", ex, err, small)
 }

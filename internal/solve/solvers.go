@@ -2,9 +2,10 @@ package solve
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
+	"time"
 
-	"resched/internal/exact"
 	"resched/internal/isk"
 	"resched/internal/sched"
 )
@@ -31,7 +32,6 @@ func (paSolver) Solve(req *Request) (*Result, error) {
 	sch, stats, err := sched.Schedule(req.Graph, req.Arch, sched.Options{
 		ModuleReuse:   req.ModuleReuse,
 		SkipFloorplan: req.SkipFloorplan,
-		Arena:         req.Arena,
 		Initial:       req.Initial,
 		FloorplanHint: req.FloorplanHint,
 		Budget:        req.Budget,
@@ -125,7 +125,21 @@ func (s iskSolver) Solve(req *Request) (*Result, error) {
 	}, nil
 }
 
-// exactSolver adapts the exhaustive non-delay reference (exact.Schedule).
+// ExactMaxTasks bounds the instance size the exact reference accepts: its
+// search is factorial in |T|.
+const ExactMaxTasks = 11
+
+// exactSolver is the exhaustive non-delay reference: IS-k with one window
+// covering the whole graph (K = |T|), searched exhaustively and without
+// floorplanning. Every scheduling decision — implementation selection,
+// processor/region mapping, region creation, module reuse and
+// reconfiguration placement — is branched on, and every action starts as
+// early as its resources allow given the decisions taken so far.
+// Makespan-optimal schedules outside that non-delay class (which insert
+// deliberate idle time) are rare on these workloads, so the result is a
+// strong lower-bound proxy the optimality-gap experiment positions PA, PA-R
+// and IS-k against, not a certified optimum. The search stops at
+// budget.ExactNodes and keeps its best schedule (ExactStats.Proven false).
 type exactSolver struct{}
 
 func (exactSolver) Name() string { return "exact" }
@@ -134,64 +148,31 @@ func (exactSolver) Solve(req *Request) (*Result, error) {
 	if req.Initial != nil && !req.Initial.Empty() {
 		return nil, errors.New("solve: the exact reference enumerates cold schedules only; it cannot start from a warm platform state")
 	}
-	sch, stats, err := exact.Schedule(req.Graph, req.Arch, exact.Options{
-		ModuleReuse: req.ModuleReuse,
-		Budget:      req.Budget,
-		Faults:      req.Faults,
-		Trace:       req.Trace,
+	if n := req.Graph.N(); n > ExactMaxTasks {
+		return nil, fmt.Errorf("solve: %d tasks exceed the exact reference's limit of %d", n, ExactMaxTasks)
+	}
+	start := time.Now()
+	sch, stats, err := isk.Schedule(req.Graph, req.Arch, isk.Options{
+		K:             req.Graph.N(),
+		Exhaustive:    true,
+		SkipFloorplan: true,
+		ModuleReuse:   req.ModuleReuse,
+		Budget:        req.Budget,
+		Faults:        req.Faults,
+		Trace:         req.Trace,
 	})
 	if err != nil {
 		return nil, err
 	}
+	sch.Algorithm = "EXACT"
 	return &Result{
 		Schedule:       sch,
 		Makespan:       sch.Makespan,
-		SchedulingTime: stats.Elapsed,
+		SchedulingTime: time.Since(start),
 		Iterations:     1,
 		Exact: &ExactStats{
 			Nodes:  stats.Nodes,
-			Proven: stats.Proven,
+			Proven: stats.CappedWindows == 0,
 		},
 	}, nil
-}
-
-// robustSolver adapts the degradation ladder (sched.Robust).
-type robustSolver struct{}
-
-func (robustSolver) Name() string { return "robust" }
-
-func (robustSolver) Solve(req *Request) (*Result, error) {
-	res, err := sched.Robust(req.Graph, req.Arch, sched.RobustOptions{
-		ModuleReuse:      req.ModuleReuse,
-		RandomIterations: req.MaxIterations,
-		RandomTime:       req.TimeBudget,
-		RandomSeed:       req.Seed,
-		Arena:            req.Arena,
-		Initial:          req.Initial,
-		FloorplanHint:    req.FloorplanHint,
-		InitialIncumbent: req.InitialIncumbent,
-		Budget:           req.Budget,
-		Faults:           req.Faults,
-		Trace:            req.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		Schedule:   res.Schedule,
-		Makespan:   res.Schedule.Makespan,
-		Placements: res.Placements,
-		Ladder: &LadderStats{
-			Rung:     res.Rung,
-			Degraded: len(res.Reasons) > 0,
-			Reasons:  res.ReasonSummary(),
-		},
-	}
-	if res.Stats != nil {
-		out.SchedulingTime = res.Stats.SchedulingTime
-		out.FloorplanTime = res.Stats.FloorplanTime
-		out.Retries = res.Stats.Retries
-		out.Iterations = res.Stats.Attempts
-	}
-	return out, nil
 }

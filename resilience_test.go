@@ -9,7 +9,6 @@ import (
 	"resched/internal/arch"
 	"resched/internal/benchgen"
 	"resched/internal/budget"
-	"resched/internal/exact"
 	"resched/internal/faultinject"
 	"resched/internal/sched"
 	"resched/internal/schedule"
@@ -27,7 +26,7 @@ import (
 // full search.
 func TestCancelledSearchesReturnPromptly(t *testing.T) {
 	big := genGraph(t, benchgen.Config{Tasks: 100, Seed: 2024})
-	small := genGraph(t, benchgen.Config{Tasks: exact.MaxTasks, Seed: 2024})
+	small := genGraph(t, benchgen.Config{Tasks: solve.ExactMaxTasks, Seed: 2024})
 	a := arch.ZedBoard()
 
 	for _, name := range solve.List() {

@@ -6,7 +6,8 @@
 #      profile armed (forced queue-full admissions + forced floorplan
 #      infeasibility), so the load run crosses the 429 retry path and the
 #      robust degradation ladder, not just the happy path
-#   3. fire the seeded load generator at it and write the benchjson report
+#   3. fire the seeded load generator at it; its client-side report lands
+#      in the smoke directory (load.json)
 #   4. fire a second, cache-heavy session (repeat + perturb mix against a
 #      small graph pool) so the schedule cache's exact-hit and warm-start
 #      paths both run
@@ -24,14 +25,13 @@
 # the same tree produce the same request outcomes. Artefacts land in
 # SERVE_SMOKE_DIR (default serve-smoke/, gitignored) for CI upload.
 #
-# Env overrides: SERVE_SMOKE_DIR, LOAD_N, LOAD_C, CACHE_N, BENCH_OUT.
+# Env overrides: SERVE_SMOKE_DIR, LOAD_N, LOAD_C, CACHE_N.
 set -eu
 
 DIR="${SERVE_SMOKE_DIR:-serve-smoke}"
 LOAD_N="${LOAD_N:-60}"
 LOAD_C="${LOAD_C:-4}"
 CACHE_N="${CACHE_N:-40}"
-BENCH_OUT="${BENCH_OUT:-$DIR/BENCH_serve.json}"
 GO="${GO:-go}"
 
 mkdir -p "$DIR/bin"
@@ -66,7 +66,7 @@ echo "serve-smoke: daemon on $(cat "$DIR/addr")"
 
 if ! "$DIR/bin/paschedload" -addr-file "$DIR/addr" \
     -n "$LOAD_N" -c "$LOAD_C" -seed 1 -tasks 24 -graphs 4 \
-    -o "$BENCH_OUT"; then
+    -o "$DIR/load.json"; then
     echo "serve-smoke: load run failed; daemon log:" >&2
     cat "$DIR/paschedd.log" >&2
     kill "$DAEMON" 2>/dev/null || true
@@ -120,4 +120,4 @@ grep -q "drained" "$DIR/paschedd.log" || {
 "$DIR/bin/obscheck" \
     -require-counters cache.hits,cache.warm_starts,online.epochs,online.prefetch_hits \
     "$DIR/trace.json" "$DIR/metrics.json" "$DIR/events.json"
-echo "serve-smoke: ok — report in $BENCH_OUT, artefacts in $DIR/"
+echo "serve-smoke: ok — artefacts in $DIR/"
